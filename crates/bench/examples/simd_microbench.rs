@@ -1,16 +1,13 @@
-//! Per-op SIMD-tier microbenchmark for the `hpceval_kernels::simd`
-//! layer.
+//! Per-op SIMD microbenchmark for the `hpceval_kernels::simd` layer.
 //!
-//! Times each primitive under every tier the host can run — scalar,
-//! the bitwise vector paths (avx2, avx512, neon) and the opt-in fused
-//! tier (fma) — printing best-of-5 wall times and each tier's speedup
-//! over scalar. This is the triage tool behind the EXPERIMENTS.md
-//! sweep rows: kernel-level speedups (`kernel_perf`) decompose into
-//! these per-op numbers — e.g. the dot keeps its full vector gain at
-//! any footprint while axpy/triad collapse toward 1× beyond L1, where
-//! the memory bus, not the instruction width, is the limit; the fused
-//! tier's extra gain concentrates in the register-tile and
-//! reduction ops, where it halves the rounding chain.
+//! Times each primitive on the scalar path and, where the host has
+//! AVX2, on the avx2 path, printing best-of-5 wall times and the avx2
+//! speedup over scalar. This is the triage tool behind the
+//! EXPERIMENTS.md sweep rows: kernel-level speedups (`kernel_perf`)
+//! decompose into these per-op numbers — e.g. the dot keeps its full
+//! vector gain at any footprint while axpy/triad collapse toward 1×
+//! beyond L1, where the memory bus, not the instruction width, is the
+//! limit.
 //!
 //! ```sh
 //! cargo run --release -p hpceval-bench --example simd_microbench
@@ -36,50 +33,21 @@ fn best_of(mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Every tier the host can execute, scalar first.
-fn tiers() -> Vec<SimdMode> {
-    let mut out = vec![SimdMode::Scalar];
-    if simd::avx2_available() {
-        out.push(SimdMode::Avx2);
-    }
-    if simd::fma_available() {
-        out.push(SimdMode::Fma);
-    }
-    if simd::avx512_available() {
-        out.push(SimdMode::Avx512);
-    }
-    if simd::neon_available() {
-        out.push(SimdMode::Neon);
-    }
-    out
-}
-
-/// Run `f` under every runnable tier and report speedups vs scalar.
+/// Run `f` on the scalar path and, with AVX2, on the avx2 path, and
+/// report the speedup.
 fn sweep(name: &str, mut f: impl FnMut(SimdMode)) {
-    let mut line = format!("{name:>14}");
-    let mut scalar = f64::NAN;
-    for m in tiers() {
-        let secs = best_of(|| f(m));
-        if m == SimdMode::Scalar {
-            scalar = secs;
-            line.push_str(&format!("  scalar {:8.3} ms", secs * 1e3));
-        } else {
-            line.push_str(&format!(
-                "  {} {:8.3} ms ({:.2}x)",
-                m.label(),
-                secs * 1e3,
-                scalar / secs
-            ));
-        }
+    let scalar = best_of(|| f(SimdMode::Scalar));
+    let mut line = format!("{name:>14}  scalar {:8.3} ms", scalar * 1e3);
+    if simd::avx2_available() {
+        let avx2 = best_of(|| f(SimdMode::Avx2));
+        line.push_str(&format!("  avx2 {:8.3} ms ({:.2}x)", avx2 * 1e3, scalar / avx2));
     }
     println!("{line}");
 }
 
 fn main() {
-    let available: Vec<&str> = tiers().iter().map(|m| m.label()).collect();
-    println!("tiers: {}", available.join(", "));
-    if tiers().len() == 1 {
-        println!("note: no vector unit detected — every column runs the scalar path");
+    if !simd::avx2_available() {
+        println!("note: no AVX2 detected — only the scalar path runs");
     }
     let n = 1 << 16; // 512 KiB/vector: past L1, short of L3
     let a: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();

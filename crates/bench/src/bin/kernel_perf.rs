@@ -17,10 +17,12 @@
 //! still prints one `trend` line per kernel (signed delta vs the
 //! baseline), so CI logs double as a perf trend record.
 //!
-//! The report carries the resolved SIMD mode (`HPCEVAL_SIMD` pin or
-//! auto-detect). The committed baseline is recorded at
-//! `HPCEVAL_SIMD=scalar` so it stays comparable across hosts with and
-//! without AVX2 — see DESIGN.md §13 for the re-baselining procedure.
+//! The report carries the resolved SIMD path — `scalar` or `avx2`,
+//! from the `HPCEVAL_SIMD` pin or auto-detect — and a check refuses a
+//! baseline recorded on the other path. The committed baseline is
+//! recorded at `HPCEVAL_SIMD=scalar` so it stays comparable across
+//! hosts with and without AVX2 — see DESIGN.md §13 for the
+//! re-baselining procedure.
 //!
 //! The GFLOP/s column uses nominal operation counts (NPB reported-op
 //! conventions scaled to the pinned grids); for the integer kernels
@@ -310,7 +312,7 @@ fn load_baseline(v: &Value) -> Result<Baseline, String> {
 /// Compare `current` against the baseline; returns one message per
 /// violation (SIMD-mode mismatch, regression beyond tolerance, or
 /// kernel-set drift). Comparing seconds taken under different SIMD
-/// tiers is meaningless, so a mode mismatch fails outright with the
+/// paths is meaningless, so a mode mismatch fails outright with the
 /// remedy spelled out.
 fn check(bl: &Baseline, current: &Report, tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
@@ -555,15 +557,15 @@ mod tests {
 
     #[test]
     fn check_fails_fast_on_simd_mode_mismatch() {
-        // Same timings, different tier: the numbers are incomparable,
+        // Same timings, different path: the numbers are incomparable,
         // so the gate must fail with the remedy, not a perf verdict.
-        let base = Baseline { simd: Some("fma".to_string()), seconds: seconds(&[("a", 1.0)]) };
+        let base = Baseline { simd: Some("avx2".to_string()), seconds: seconds(&[("a", 1.0)]) };
         let cur = report(&[("a", 1.0)]);
         let failures = check(&base, &cur, 0.5);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("simd mode mismatch"), "{failures:?}");
-        assert!(failures[0].contains("HPCEVAL_SIMD=fma"), "{failures:?}");
-        // A baseline without a recorded mode (pre-tier format) still
+        assert!(failures[0].contains("HPCEVAL_SIMD=avx2"), "{failures:?}");
+        // A baseline without a recorded mode (older format) still
         // compares on seconds alone.
         let legacy = Baseline { simd: None, seconds: seconds(&[("a", 1.0)]) };
         assert!(check(&legacy, &cur, 0.5).is_empty());

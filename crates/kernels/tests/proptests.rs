@@ -196,83 +196,6 @@ proptest! {
         prop_assert_eq!(run(SimdMode::Scalar), run(SimdMode::Avx2));
     }
 
-    /// The FMA tier's tolerance contract (simd.rs module docs): for
-    /// every span op, `|fma(x) − scalar(x)| ≤ ops·ε·scale(x)` with
-    /// `ops` the rounding count along the longest dependence chain and
-    /// `scale` the sum of absolute terms. The tier is also a pure
-    /// function of its operands, so repeated calls are bitwise stable.
-    #[test]
-    fn fma_tier_within_documented_tolerance(len in 0usize..300, seed in 1u64..2000, s in -3.0..3.0f64) {
-        if simd::fma_available() {
-            let mut rng = NpbRng::new(seed);
-            let a: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
-            let b: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
-            let c: Vec<f64> = (0..len).map(|_| rng.next_f64() - 0.5).collect();
-            // axpy: one fused rounding vs two scalar roundings per lane.
-            let mut yf = c.clone();
-            simd::axpy(SimdMode::Fma, &mut yf, &a, s);
-            let mut yf2 = c.clone();
-            simd::axpy(SimdMode::Fma, &mut yf2, &a, s);
-            prop_assert!(
-                yf.iter().zip(&yf2).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "fma tier must be deterministic call-to-call"
-            );
-            let mut ys = c.clone();
-            simd::axpy(SimdMode::Scalar, &mut ys, &a, s);
-            for i in 0..len {
-                let scale = c[i].abs() + (s * a[i]).abs();
-                prop_assert!(
-                    (yf[i] - ys[i]).abs() <= 2.0 * f64::EPSILON * scale,
-                    "axpy[{i}]: {} vs {}", yf[i], ys[i]
-                );
-            }
-            // triad (`dst = a + s·b`): same envelope.
-            let mut tf = c.clone();
-            simd::triad(SimdMode::Fma, &mut tf, &a, &b, s);
-            let mut ts = c.clone();
-            simd::triad(SimdMode::Scalar, &mut ts, &a, &b, s);
-            for i in 0..len {
-                let scale = a[i].abs() + (s * b[i]).abs();
-                prop_assert!(
-                    (tf[i] - ts[i]).abs() <= 2.0 * f64::EPSILON * scale,
-                    "triad[{i}]: {} vs {}", tf[i], ts[i]
-                );
-            }
-            // dot: ≤ 2·len+2 roundings differ along either chain.
-            let df = simd::dot(SimdMode::Fma, &a, &b);
-            let ds = simd::dot(SimdMode::Scalar, &a, &b);
-            let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            let tol = (2 * len + 2) as f64 * f64::EPSILON * mag;
-            prop_assert!((df - ds).abs() <= tol, "dot {df} vs {ds} (tol {tol})");
-        }
-    }
-
-    /// The FMA register tile tracks the scalar micro-kernel within the
-    /// `(2·kw+2)·ε·scale` envelope for arbitrary tile shapes (column
-    /// tails of every width class included).
-    #[test]
-    fn fma_tile_within_documented_tolerance(kw in 1usize..70, jw in 1usize..70, seed in 1u64..1000, alpha in -2.0..2.0f64) {
-        if simd::fma_available() {
-            let mut rng = NpbRng::new(seed);
-            let a: Vec<f64> = (0..kw).map(|_| rng.next_f64() - 0.5).collect();
-            let bt: Vec<f64> = (0..kw * jw).map(|_| rng.next_f64() - 0.5).collect();
-            let c0: Vec<f64> = (0..jw).map(|_| rng.next_f64() - 0.5).collect();
-            let mut cf = c0.clone();
-            simd::tile_row_update(SimdMode::Fma, &mut cf, &bt, &a, alpha);
-            let mut cs = c0.clone();
-            simd::tile_row_update(SimdMode::Scalar, &mut cs, &bt, &a, alpha);
-            for j in 0..jw {
-                let scale: f64 = c0[j].abs()
-                    + (0..kw).map(|k| (alpha * a[k] * bt[k * jw + j]).abs()).sum::<f64>();
-                let tol = (2 * kw + 2) as f64 * f64::EPSILON * scale;
-                prop_assert!(
-                    (cf[j] - cs[j]).abs() <= tol,
-                    "tile[{j}] (kw {kw}, jw {jw}): {} vs {} (tol {tol})", cf[j], cs[j]
-                );
-            }
-        }
-    }
-
     /// The tile autotuner's closed form is total, deterministic and
     /// cache-feasible for arbitrary geometries: granularities hold,
     /// the packed B tile fits its 5/8-of-L1d budget (the tile must be
