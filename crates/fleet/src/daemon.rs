@@ -7,6 +7,22 @@
 //! in-memory table reflects it — so `kill -9` at any instant loses no
 //! accepted job and at most the state rows that were in flight.
 //!
+//! The log is written per batch, one synced group each (see
+//! [`crate::wal`]): a submit batch's `submit` lines before any of its
+//! jobs is admitted or acked, a scheduler tick's `claim` lines before
+//! any of its jobs runs, and the tick's `done` lines once every attempt
+//! in it has ended. Checkpoint rows stay synced one at a time (the
+//! runner moves on only once a row is durable), as do crash `retry`
+//! lines. The trade-off: a job's `Done` becomes visible when its
+//! scheduler batch commits, not the moment its own attempt ends. The
+//! scheduler already waits for the whole batch before it claims again,
+//! so queue progress was batch-granular before the log was.
+//!
+//! The WAL is fail-stop. Once a write or sync fails, the writer is
+//! poisoned: submits are refused with the original failure, nothing
+//! more is claimed, and [`Fleet::drain`] returns once nothing is left
+//! running instead of waiting for jobs that can never finish.
+//!
 //! Scheduling policy:
 //! - A queued job runs once its backoff deadline has passed and its
 //!   pinned node is healthy (crash hold-offs park the node briefly).
@@ -84,6 +100,30 @@ struct Inner {
     jobs: BTreeMap<JobId, JobRecord>,
     next_id: JobId,
     accepting: bool,
+}
+
+/// A terminal attempt awaiting its batch's group commit: the `done`
+/// line to log and the event to fire once that line is durable.
+struct Finished {
+    entry: WalEntry,
+    event: FleetEvent,
+}
+
+impl Finished {
+    /// A completed attempt, `Degraded` when its result is flagged.
+    fn completed(job: JobId, node: usize, result: JobResult) -> Finished {
+        let (state, kind) = if result.degraded {
+            let reason = result.notes.first().cloned().unwrap_or_default();
+            (JobState::Degraded, EventKind::Degraded { reason })
+        } else {
+            (JobState::Done, EventKind::Done)
+        };
+        let t_s = result.rows.len() as f64 * STATE_SLOT_S;
+        Finished {
+            entry: WalEntry::Done { job, state, result: Some(result) },
+            event: FleetEvent { t_s, job, node, kind },
+        }
+    }
 }
 
 /// The orchestration daemon.
@@ -200,9 +240,12 @@ impl Fleet {
 
     /// Submit a batch of jobs atomically; returns their ids.
     ///
-    /// The whole batch is rejected on the first invalid job, and pushed
+    /// The whole batch is rejected on the first invalid job, pushed
     /// back with [`FleetError::Backlog`] when it would overflow
-    /// [`FleetConfig::queue_cap`].
+    /// [`FleetConfig::queue_cap`], and refused with the original
+    /// failure once the WAL is poisoned. The batch's `submit` lines are
+    /// synced as one group before any job is admitted; if they cannot
+    /// be, none is.
     pub fn submit(&self, kinds: Vec<JobKind>) -> Result<Vec<JobId>, FleetError> {
         if kinds.is_empty() {
             return Ok(Vec::new());
@@ -212,6 +255,7 @@ impl Fleet {
         if !inner.accepting {
             return Err(FleetError::Remote("fleet is draining; submits rejected".to_string()));
         }
+        self.wal.lock().check()?;
         let live = inner.jobs.values().filter(|j| !j.state.is_terminal()).count();
         if live + kinds.len() > self.config.queue_cap {
             return Err(FleetError::Backlog { retry_after_ms: self.config.backoff_cap_ms });
@@ -230,13 +274,17 @@ impl Fleet {
             };
             placed.push((node, total_steps));
         }
-        // Batch is valid: log first, then admit.
-        let mut ids = Vec::with_capacity(kinds.len());
-        let mut wal = self.wal.lock();
-        for (kind, (node, total_steps)) in kinds.into_iter().zip(placed) {
-            let id = inner.next_id;
-            inner.next_id += 1;
-            wal.append(&WalEntry::Submit { job: id, kind: kind.clone() })?;
+        // Batch is valid: log it as one group, then admit all of it.
+        let first = inner.next_id;
+        let ids: Vec<JobId> = (first..).take(kinds.len()).collect();
+        let group: Vec<WalEntry> = ids
+            .iter()
+            .zip(&kinds)
+            .map(|(&job, kind)| WalEntry::Submit { job, kind: kind.clone() })
+            .collect();
+        self.wal.lock().append_all(&group)?;
+        inner.next_id = first + ids.len() as JobId;
+        for ((&id, kind), (node, total_steps)) in ids.iter().zip(kinds).zip(placed) {
             inner.jobs.insert(
                 id,
                 JobRecord {
@@ -253,9 +301,7 @@ impl Fleet {
                 },
             );
             self.push_event(FleetEvent { t_s: 0.0, job: id, node, kind: EventKind::Submitted });
-            ids.push(id);
         }
-        drop(wal);
         drop(inner);
         self.cond.notify_all();
         Ok(ids)
@@ -278,18 +324,30 @@ impl Fleet {
         self.inner.lock().jobs.get(&job).and_then(|rec| rec.result.clone())
     }
 
-    /// Stop accepting submits and block until every job is terminal.
+    /// Stop accepting submits and block until every job is terminal,
+    /// or, once the WAL is poisoned, until nothing is left running.
     /// Requires a running scheduler (see [`Fleet::start_scheduler`]).
     pub fn drain(&self) -> Vec<JobStatus> {
         let mut inner = self.inner.lock();
         inner.accepting = false;
-        while inner.jobs.values().any(|j| !j.state.is_terminal()) {
+        while !self.settled(&inner) {
             if self.is_shutting_down() {
                 break; // report what finished rather than hang forever
             }
             self.cond.wait_for(&mut inner, Duration::from_millis(10));
         }
         inner.jobs.values().map(JobRecord::status).collect()
+    }
+
+    /// True when no job can move any more: all are terminal, or the
+    /// WAL is poisoned (nothing more can be claimed) and none is
+    /// running.
+    fn settled(&self, inner: &Inner) -> bool {
+        let mut live = inner.jobs.values().filter(|j| !j.state.is_terminal()).peekable();
+        if live.peek().is_none() {
+            return true;
+        }
+        live.all(|j| j.state != JobState::Running) && self.wal.lock().check().is_err()
     }
 
     /// All events so far.
@@ -345,16 +403,18 @@ impl Fleet {
                     fleet.cond.wait_for(&mut inner, Duration::from_millis(5));
                     continue;
                 }
-                fleet.pool.install(|| {
-                    batch.par_iter().for_each(|&id| fleet.execute(id));
-                });
+                let finished: Vec<Finished> = fleet
+                    .pool
+                    .install(|| batch.par_iter().filter_map(|&id| fleet.execute(id)).collect());
+                fleet.commit(finished);
                 fleet.cond.notify_all();
             }
         })
     }
 
     /// Claim every queued job whose backoff has elapsed and whose node
-    /// is healthy; marks them Running and WAL-logs the claims.
+    /// is healthy: logs the claims as one group, then marks them
+    /// Running. Nothing is claimed when the group cannot be logged.
     fn claim_due(&self) -> Vec<JobId> {
         let registry = self.registry.lock();
         let mut inner = self.inner.lock();
@@ -367,29 +427,33 @@ impl Fleet {
             .filter(|j| registry.is_healthy(j.node))
             .map(|j| j.id)
             .collect();
-        let mut wal = self.wal.lock();
-        let mut claimed = Vec::with_capacity(due.len());
-        for id in due {
-            let rec = inner.jobs.get_mut(&id).expect("listed above");
-            let attempt = rec.attempts + 1;
-            if wal.append(&WalEntry::Claim { job: id, attempt, node: rec.node }).is_err() {
-                continue; // unloggable claims don't run
-            }
-            rec.state = JobState::Running;
-            let (node, done) = (rec.node, rec.checkpoint.len());
-            self.push_event(FleetEvent {
-                t_s: done as f64 * STATE_SLOT_S,
-                job: id,
-                node,
-                kind: EventKind::Started { attempt },
-            });
-            claimed.push(id);
+        let group: Vec<WalEntry> = due
+            .iter()
+            .map(|&job| {
+                let rec = &inner.jobs[&job];
+                WalEntry::Claim { job, attempt: rec.attempts + 1, node: rec.node }
+            })
+            .collect();
+        if self.wal.lock().append_all(&group).is_err() {
+            return Vec::new(); // unloggable claims don't run
         }
-        claimed
+        for &job in &due {
+            let rec = inner.jobs.get_mut(&job).expect("listed above");
+            rec.state = JobState::Running;
+            self.push_event(FleetEvent {
+                t_s: rec.checkpoint.len() as f64 * STATE_SLOT_S,
+                job,
+                node: rec.node,
+                kind: EventKind::Started { attempt: rec.attempts + 1 },
+            });
+        }
+        due
     }
 
-    /// Run one claimed job attempt to its outcome.
-    fn execute(&self, id: JobId) {
+    /// Run one claimed job attempt to its outcome. A requeue (preempt,
+    /// crash with attempts left) is applied here; a terminal outcome is
+    /// returned for the batch's [`Fleet::commit`].
+    fn execute(&self, id: JobId) -> Option<Finished> {
         let (kind, checkpoint, suspect, attempt, node, total_steps) = {
             let inner = self.inner.lock();
             let rec = &inner.jobs[&id];
@@ -442,7 +506,7 @@ impl Fleet {
             }
         });
         match outcome {
-            AttemptOutcome::Completed { result } => self.finish(id, node, result),
+            AttemptOutcome::Completed { result } => Some(Finished::completed(id, node, result)),
             AttemptOutcome::Preempted => {
                 let done = {
                     let mut inner = self.inner.lock();
@@ -458,71 +522,69 @@ impl Fleet {
                     kind: EventKind::Preempted { row: done.saturating_sub(1) },
                 });
                 self.cond.notify_all();
+                None
             }
             AttemptOutcome::Crashed { at_step } => self.handle_crash(id, node, at_step),
-            AttemptOutcome::BadCheckpoint { reason } => {
-                let _ = self.wal.lock().append(&WalEntry::Done {
-                    job: id,
-                    state: JobState::Failed,
-                    result: None,
-                });
-                let mut inner = self.inner.lock();
-                if let Some(rec) = inner.jobs.get_mut(&id) {
-                    rec.state = JobState::Failed;
-                }
-                drop(inner);
-                self.push_event(FleetEvent {
-                    t_s: 0.0,
-                    job: id,
-                    node,
-                    kind: EventKind::Failed { reason },
-                });
-                self.cond.notify_all();
-            }
+            AttemptOutcome::BadCheckpoint { reason } => Some(Finished {
+                entry: WalEntry::Done { job: id, state: JobState::Failed, result: None },
+                event: FleetEvent { t_s: 0.0, job: id, node, kind: EventKind::Failed { reason } },
+            }),
         }
     }
 
-    fn finish(&self, id: JobId, node: usize, result: JobResult) {
-        let state = if result.degraded { JobState::Degraded } else { JobState::Done };
-        let logged = self.wal.lock().append(&WalEntry::Done {
-            job: id,
-            state,
-            result: Some(result.clone()),
-        });
-        if logged.is_err() {
-            // Could not make the completion durable; leave the job
-            // queued so a later attempt re-finishes it.
-            let mut inner = self.inner.lock();
-            if let Some(rec) = inner.jobs.get_mut(&id) {
-                rec.state = JobState::Queued;
-                rec.next_due = Instant::now() + Duration::from_millis(self.config.backoff_cap_ms);
-            }
+    /// Log the `done` lines of a scheduler batch as one group; only once
+    /// it is synced, apply the batch to memory and fire its events. If
+    /// the group cannot be logged, every job in it goes back to the
+    /// queue so a later attempt re-finishes it (none will while the WAL
+    /// is poisoned).
+    fn commit(&self, finished: Vec<Finished>) {
+        if finished.is_empty() {
             return;
         }
-        let t_s = result.rows.len() as f64 * STATE_SLOT_S;
-        let note = result.notes.first().cloned().unwrap_or_default();
+        let (group, events): (Vec<WalEntry>, Vec<FleetEvent>) =
+            finished.into_iter().map(|f| (f.entry, f.event)).unzip();
+        let logged = {
+            let mut wal = self.wal.lock();
+            match wal.append_all(&group) {
+                Ok(()) => vec![true; group.len()],
+                Err(_) if wal.check().is_err() => vec![false; group.len()],
+                // A line that does not encode (a non-finite result)
+                // fails the group before anything is written; log the
+                // rest alone so one bad job cannot stall its batch.
+                Err(_) => group.iter().map(|entry| wal.append(entry).is_ok()).collect(),
+            }
+        };
+        let mut fired = Vec::with_capacity(events.len());
         {
             let mut inner = self.inner.lock();
-            if let Some(rec) = inner.jobs.get_mut(&id) {
-                rec.state = state;
-                rec.result = Some(result);
+            for ((entry, event), logged) in group.into_iter().zip(events).zip(logged) {
+                let WalEntry::Done { job, state, result } = entry else {
+                    unreachable!("the done group holds done lines only")
+                };
+                let Some(rec) = inner.jobs.get_mut(&job) else { continue };
+                if logged {
+                    rec.state = state;
+                    rec.result = result;
+                    fired.push(event);
+                } else {
+                    rec.state = JobState::Queued;
+                    rec.next_due =
+                        Instant::now() + Duration::from_millis(self.config.backoff_cap_ms);
+                }
             }
         }
-        self.registry.lock().mark_finished(node);
-        self.push_event(FleetEvent {
-            t_s,
-            job: id,
-            node,
-            kind: if state == JobState::Done {
-                EventKind::Done
-            } else {
-                EventKind::Degraded { reason: note }
-            },
-        });
-        self.cond.notify_all();
+        {
+            let mut registry = self.registry.lock();
+            for event in fired.iter().filter(|e| !matches!(e.kind, EventKind::Failed { .. })) {
+                registry.mark_finished(event.node);
+            }
+        }
+        for event in fired {
+            self.push_event(event);
+        }
     }
 
-    fn handle_crash(&self, id: JobId, node: usize, at_step: usize) {
+    fn handle_crash(&self, id: JobId, node: usize, at_step: usize) -> Option<Finished> {
         self.registry
             .lock()
             .mark_crashed(node, Duration::from_millis(self.config.crash_holdoff_ms));
@@ -558,8 +620,7 @@ impl Fleet {
                 suspect_rows: suspect,
                 output: None,
             };
-            self.finish(id, node, result);
-            return;
+            return Some(Finished::completed(id, node, result));
         }
         let backoff = self
             .config
@@ -588,6 +649,7 @@ impl Fleet {
             });
         }
         self.cond.notify_all();
+        None
     }
 
     fn push_event(&self, event: FleetEvent) {
@@ -614,10 +676,10 @@ impl Fleet {
     }
 
     /// Non-blocking drain-completion check: the full status report once
-    /// a requested drain has run every job to a terminal state.
+    /// a requested drain has settled, as [`Fleet::drain`] defines it.
     pub fn drained_statuses(&self) -> Option<Vec<JobStatus>> {
         let inner = self.inner.lock();
-        if !inner.accepting && inner.jobs.values().all(|j| j.state.is_terminal()) {
+        if !inner.accepting && self.settled(&inner) {
             Some(inner.jobs.values().map(JobRecord::status).collect())
         } else {
             None
@@ -713,6 +775,7 @@ pub(crate) fn ranking_response(rows: Vec<(String, f64, bool)>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::File;
     use std::path::PathBuf;
 
     fn wal_path(name: &str) -> PathBuf {
@@ -767,6 +830,116 @@ mod tests {
             Err(FleetError::Backlog { retry_after_ms }) => assert!(retry_after_ms > 0),
             other => panic!("expected backlog, got {other:?}"),
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Fail-stop: one failed WAL write refuses every later submit with
+    /// the original failure, even once the file is healthy again, and a
+    /// drain over jobs that can no longer be claimed returns instead of
+    /// polling forever.
+    #[test]
+    fn a_poisoned_wal_refuses_submits_and_drain_returns() {
+        let path = wal_path("poison");
+        let fleet = Fleet::open(FleetConfig::default(), Registry::with_presets(), &path).unwrap();
+        fleet.submit(vec![eval("xeon-e5462", 1), eval("xeon-4870", 2)]).unwrap();
+        let healthy = fleet.wal.lock().swap_file(File::open(&path).unwrap());
+        let cause = fleet.submit(vec![eval("opteron-8347", 3), eval("xeon-e5462", 4)]).unwrap_err();
+        fleet.wal.lock().swap_file(healthy);
+        match fleet.submit(vec![eval("opteron-8347", 3)]) {
+            Err(FleetError::WalPoisoned(msg)) => {
+                assert!(cause.to_string().contains(&msg), "{msg} vs {cause}")
+            }
+            other => panic!("a poisoned WAL admitted a submit: {other:?}"),
+        }
+        assert_eq!(fleet.status(None).len(), 2, "the failed batch admitted nothing");
+
+        let sched = fleet.start_scheduler();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let draining = Arc::clone(&fleet);
+        std::thread::spawn(move || tx.send(draining.drain()).unwrap());
+        let statuses = rx.recv_timeout(Duration::from_secs(10)).expect("drain returned");
+        fleet.request_shutdown();
+        sched.join().unwrap();
+        assert!(statuses.iter().all(|s| s.state == "Queued"), "nothing claimed: {statuses:?}");
+        assert_eq!(wal::replay(&path).unwrap().len(), 2, "only the first batch was logged");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Group commit, pinned: a 200-job tune batch costs one sync for its
+    /// submit and O(scheduler ticks) in all, while still logging one
+    /// submit, one claim and one done line per job.
+    #[test]
+    fn a_tune_batch_syncs_per_group_not_per_line() {
+        let path = wal_path("syncs");
+        let cells = hpceval_tune::plan_sweep(&hpceval_tune::SweepOptions::default()).unwrap();
+        let jobs: Vec<JobKind> = cells.iter().take(200).map(crate::sweep::cell_to_job).collect();
+        let fleet = Fleet::open(FleetConfig::default(), Registry::with_presets(), &path).unwrap();
+        let ids = fleet.submit(jobs).unwrap();
+        assert_eq!(fleet.wal.lock().syncs(), 1, "one sync for the whole submit batch");
+        let sched = fleet.start_scheduler();
+        let statuses = fleet.drain();
+        fleet.request_shutdown();
+        sched.join().unwrap();
+        assert!(statuses.iter().all(|s| s.state == "Done"), "{statuses:?}");
+        let syncs = fleet.wal.lock().syncs();
+        assert!(syncs <= 8, "{syncs} syncs for 200 jobs: per line, not per group");
+
+        let mut lines: Vec<(&str, JobId)> = wal::replay(&path)
+            .unwrap()
+            .iter()
+            .map(|entry| match entry {
+                WalEntry::Claim { job, .. } => ("claim", *job),
+                WalEntry::Done { job, .. } => ("done", *job),
+                WalEntry::Submit { job, .. } => ("submit", *job),
+                other => panic!("unexpected line {other:?}"),
+            })
+            .collect();
+        lines.sort_unstable();
+        let want: Vec<(&str, JobId)> = ["claim", "done", "submit"]
+            .into_iter()
+            .flat_map(|e| ids.iter().map(move |&job| (e, job)))
+            .collect();
+        assert_eq!(lines, want, "one submit, one claim and one done line per job");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A done line that cannot be encoded (a non-finite score) fails on
+    /// its own: the rest of its batch still commits.
+    #[test]
+    fn an_unencodable_done_line_does_not_stall_its_batch() {
+        let path = wal_path("nonfinite");
+        let fleet = Fleet::open(FleetConfig::default(), Registry::with_presets(), &path).unwrap();
+        let ids = fleet
+            .submit(vec![
+                JobKind::Green500 { server: "xeon-e5462".into() },
+                JobKind::Green500 { server: "xeon-4870".into() },
+            ])
+            .unwrap();
+        assert_eq!(fleet.claim_due(), ids);
+        let finished = |id: JobId, score: f64| {
+            let node = fleet.inner.lock().jobs[&id].node;
+            let result = JobResult {
+                score: Some(score),
+                degraded: false,
+                notes: Vec::new(),
+                rows: Vec::new(),
+                suspect_rows: Vec::new(),
+                output: None,
+            };
+            Finished::completed(id, node, result)
+        };
+        fleet.commit(vec![finished(ids[0], f64::NAN), finished(ids[1], 1.0)]);
+        let states: Vec<String> = fleet.status(None).into_iter().map(|s| s.state).collect();
+        assert_eq!(states, ["Queued", "Done"]);
+        let done: Vec<JobId> = wal::replay(&path)
+            .unwrap()
+            .iter()
+            .filter_map(|e| match e {
+                WalEntry::Done { job, .. } => Some(*job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, ids[1..]);
         std::fs::remove_file(&path).unwrap();
     }
 

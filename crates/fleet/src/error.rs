@@ -25,6 +25,9 @@ pub enum FleetError {
     UnknownServer(String),
     /// The daemon reported an error message.
     Remote(String),
+    /// An earlier WAL write, flush or sync failed (the text names that
+    /// failure); the log accepts nothing more.
+    WalPoisoned(String),
 }
 
 impl fmt::Display for FleetError {
@@ -40,6 +43,9 @@ impl fmt::Display for FleetError {
             }
             FleetError::UnknownServer(name) => write!(f, "unknown server {name:?}"),
             FleetError::Remote(msg) => write!(f, "daemon error: {msg}"),
+            FleetError::WalPoisoned(cause) => {
+                write!(f, "WAL poisoned by an earlier failed write ({cause}); refusing to append")
+            }
         }
     }
 }

@@ -2,11 +2,21 @@
 //!
 //! Every state transition is appended as one strict-JSON line *before*
 //! the in-memory queue reflects it, and the file is flushed and synced
-//! per append. Replaying the log therefore reconstructs the queue a
-//! killed daemon held at the moment of death: accepted-but-unfinished
-//! jobs come back `Queued` with their checkpointed rows intact, so a
-//! restart re-runs at most the rows that were in flight. A torn final
-//! line (the kill landed mid-append) is tolerated and dropped.
+//! per group: [`WalWriter::append_all`] writes a batch of lines with one
+//! `write_all`, one flush and one `sync_data`, and [`WalWriter::append`]
+//! is the one-line group. Replaying the log therefore reconstructs the
+//! queue a killed daemon held at the moment of death: accepted-but-
+//! unfinished jobs come back `Queued` with their checkpointed rows
+//! intact, so a restart re-runs at most the rows that were in flight.
+//! A kill mid-group leaves a prefix of the group on disk, ending in at
+//! most one torn line; the torn final line is tolerated and dropped.
+//!
+//! The writer is fail-stop. The first failed write, flush or sync
+//! poisons it: part of the failed group may already be on disk, so a
+//! later line appended after it could be acked on top of bytes nobody
+//! was told about. Every later append returns
+//! [`FleetError::WalPoisoned`] naming the original failure and writes
+//! nothing.
 //!
 //! Entry grammar (one JSON object per line, `"e"` selects the kind):
 //!
@@ -85,6 +95,9 @@ pub enum WalEntry {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
+    syncs: u64,
+    /// The failure that poisoned the writer, once one has.
+    poison: Option<String>,
 }
 
 impl WalWriter {
@@ -92,7 +105,7 @@ impl WalWriter {
     pub fn open(path: &Path) -> Result<Self, FleetError> {
         repair_tail(path)?;
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self { file, path: path.to_path_buf() })
+        Ok(Self { file, path: path.to_path_buf(), syncs: 0, poison: None })
     }
 
     /// The log's path.
@@ -100,14 +113,59 @@ impl WalWriter {
         &self.path
     }
 
-    /// Append one entry: strict-encode, write the line, flush, sync.
+    /// Groups synced since [`WalWriter::open`].
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// `Ok` while the writer is healthy; once a write has failed, the
+    /// [`FleetError::WalPoisoned`] every append now returns.
+    pub fn check(&self) -> Result<(), FleetError> {
+        match &self.poison {
+            Some(cause) => Err(FleetError::WalPoisoned(cause.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Append one entry: a group of one.
     pub fn append(&mut self, entry: &WalEntry) -> Result<(), FleetError> {
-        let line = encode_entry(entry)?;
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
-        self.file.sync_data()?;
+        self.append_all(std::slice::from_ref(entry))
+    }
+
+    /// Append `entries` as one group: strict-encode every line, then
+    /// one write, one flush and one sync. An entry that does not encode
+    /// fails the group before anything is written; an empty group
+    /// writes and syncs nothing. A failed write, flush or sync poisons
+    /// the writer.
+    pub fn append_all(&mut self, entries: &[WalEntry]) -> Result<(), FleetError> {
+        self.check()?;
+        if entries.is_empty() {
+            return Ok(());
+        }
+        let mut group = String::new();
+        for entry in entries {
+            group.push_str(&encode_entry(entry)?);
+            group.push('\n');
+        }
+        let file = &mut self.file;
+        let written = file
+            .write_all(group.as_bytes())
+            .and_then(|()| file.flush())
+            .and_then(|()| file.sync_data());
+        if let Err(e) = written {
+            self.poison = Some(e.to_string());
+            return Err(e.into());
+        }
+        self.syncs += 1;
         Ok(())
+    }
+
+    /// Swap the underlying handle, returning the old one: lets a test
+    /// make the next write fail (a read-only handle) and then hand the
+    /// healthy handle back.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 }
 
@@ -377,6 +435,78 @@ mod tests {
         let mut want = sample_entries();
         want.push(extra);
         assert_eq!(replay(&path).unwrap(), want, "the sealed entry must survive");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_group_writes_the_bytes_of_its_entries_appended_one_at_a_time() {
+        let (single, grouped) = (tmp("single"), tmp("grouped"));
+        let mut w = WalWriter::open(&single).unwrap();
+        for e in sample_entries() {
+            w.append(&e).unwrap();
+        }
+        assert_eq!(w.syncs(), sample_entries().len() as u64);
+        let mut g = WalWriter::open(&grouped).unwrap();
+        g.append_all(&sample_entries()).unwrap();
+        g.append_all(&[]).unwrap();
+        assert_eq!(g.syncs(), 1, "one sync per group; none for an empty one");
+        assert_eq!(std::fs::read(&grouped).unwrap(), std::fs::read(&single).unwrap());
+        std::fs::remove_file(&single).unwrap();
+        std::fs::remove_file(&grouped).unwrap();
+    }
+
+    /// A kill mid-group leaves any prefix of the group's bytes on disk.
+    /// Cut at every byte of the last group: replay keeps a prefix of the
+    /// entries (never less than the earlier, synced group), and a
+    /// reopened writer appends after exactly that prefix.
+    #[test]
+    fn every_cut_inside_the_last_group_replays_a_prefix() {
+        let (full, cut) = (tmp("group-full"), tmp("group-cut"));
+        let entries = sample_entries();
+        let mut w = WalWriter::open(&full).unwrap();
+        w.append_all(&entries[..2]).unwrap();
+        let synced = std::fs::metadata(&full).unwrap().len() as usize;
+        w.append_all(&entries[2..]).unwrap();
+        let bytes = std::fs::read(&full).unwrap();
+        let extra = WalEntry::Claim { job: 9, attempt: 1, node: 1 };
+        for len in synced..=bytes.len() {
+            std::fs::write(&cut, &bytes[..len]).unwrap();
+            let kept = replay(&cut).unwrap();
+            assert!(kept.len() >= 2, "cut at {len} lost a synced group");
+            assert_eq!(kept[..], entries[..kept.len()], "cut at {len}");
+            WalWriter::open(&cut).unwrap().append(&extra).unwrap();
+            let mut want = kept;
+            want.push(extra.clone());
+            assert_eq!(replay(&cut).unwrap(), want, "cut at {len}, reopened");
+        }
+        std::fs::remove_file(&full).unwrap();
+        std::fs::remove_file(&cut).unwrap();
+    }
+
+    /// Fail-stop: after one failed write, appends are refused even once
+    /// the handle is healthy again, naming the original failure, and
+    /// nothing more reaches the file.
+    #[test]
+    fn a_failed_write_poisons_the_writer() {
+        let path = tmp("poison");
+        let mut w = WalWriter::open(&path).unwrap();
+        let entries = sample_entries();
+        w.append(&entries[0]).unwrap();
+        let healthy = w.swap_file(File::open(&path).unwrap());
+        let cause = w.append_all(&entries[1..]).unwrap_err();
+        assert!(matches!(cause, FleetError::Io(_)), "{cause}");
+        w.swap_file(healthy);
+        for _ in 0..2 {
+            match w.append(&entries[1]) {
+                Err(FleetError::WalPoisoned(msg)) => {
+                    assert!(cause.to_string().contains(&msg), "{msg} vs {cause}")
+                }
+                other => panic!("a poisoned writer appended: {other:?}"),
+            }
+        }
+        assert!(w.check().is_err());
+        assert_eq!(w.syncs(), 1);
+        assert_eq!(replay(&path).unwrap(), entries[..1]);
         std::fs::remove_file(&path).unwrap();
     }
 
