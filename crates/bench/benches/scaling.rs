@@ -2,9 +2,9 @@
 //!
 //! DGEMM (n = 768) and the HPL LU factorization (n = 512) at logical
 //! widths 1/2/4/max, driven through `ThreadPool::install` so each
-//! measurement pins the executor's split width. `cargo bench --bench
-//! scaling` prints the full sweep; `src/bin/scaling_study` records the
-//! same sweep as `BENCH_scaling.json` for the perf trajectory.
+//! measurement pins the executor's split width. `cargo bench -p
+//! hpceval-bench --bench scaling` prints the full sweep; the repository's
+//! `benchmark/` package is where speed is recorded and gated.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;

@@ -3,8 +3,8 @@
 //! Times each primitive on the scalar path and, where the host has
 //! AVX2, on the avx2 path, printing best-of-5 wall times and the avx2
 //! speedup over scalar. This is the triage tool behind the
-//! EXPERIMENTS.md sweep rows: kernel-level speedups (`kernel_perf`)
-//! decompose into these per-op numbers — e.g. the dot keeps its full
+//! EXPERIMENTS.md sweep rows: kernel-level speedups (the `kernels`
+//! workload of `benchmark/`) decompose into these per-op numbers — e.g. the dot keeps its full
 //! vector gain at any footprint while axpy/triad collapse toward 1×
 //! beyond L1, where the memory bus, not the instruction width, is the
 //! limit.

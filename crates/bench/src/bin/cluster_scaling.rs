@@ -2,7 +2,7 @@
 //! single-server scope) — PPW vs node count under two fabrics.
 
 use hpceval_bench::{heading, json_requested};
-use hpceval_core::cluster::{scaling_study, Interconnect};
+use hpceval_core::cluster::{score_cluster_sizes, Interconnect};
 use hpceval_machine::presets;
 
 fn main() {
@@ -16,13 +16,13 @@ fn main() {
     if json_requested() {
         let all: std::collections::BTreeMap<String, _> = fabrics
             .iter()
-            .map(|(name, ic)| (name.to_string(), scaling_study(&node, *ic, &sizes)))
+            .map(|(name, ic)| (name.to_string(), score_cluster_sizes(&node, *ic, &sizes)))
             .collect();
         println!("{}", serde_json::to_string_pretty(&all).expect("serializable"));
         return;
     }
     for (name, ic) in fabrics {
-        let scores = scaling_study(&node, ic, &sizes);
+        let scores = score_cluster_sizes(&node, ic, &sizes);
         println!("\n--- {name} ---");
         println!(
             "{:>6} {:>14} {:>12} {:>12} {:>13}",

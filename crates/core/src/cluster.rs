@@ -144,7 +144,7 @@ impl ClusterSpec {
 }
 
 /// Score a node type across a sweep of cluster sizes.
-pub fn scaling_study(
+pub fn score_cluster_sizes(
     node: &ServerSpec,
     interconnect: Interconnect,
     node_counts: &[u32],
@@ -161,7 +161,7 @@ mod tests {
     use hpceval_machine::presets;
 
     fn sweep(ic: Interconnect) -> Vec<ClusterScore> {
-        scaling_study(&presets::xeon_4870(), ic, &[1, 2, 4, 8, 16, 32])
+        score_cluster_sizes(&presets::xeon_4870(), ic, &[1, 2, 4, 8, 16, 32])
     }
 
     #[test]

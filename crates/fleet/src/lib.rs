@@ -33,10 +33,11 @@
 //!   shard, many in-flight tagged requests per socket, per-socket
 //!   backpressure caps — and merges status/ranking responses; a dead
 //!   shard's WAL replays into a replacement bitwise.
-//! - **Sustained-load gate** ([`bench`]): the `fleet_bench` harness
-//!   drives ≥1 M submit/status round-trips through the router across a
-//!   shard-count sweep (2/4/8) and records p50/p99 latency + ops/s per
-//!   configuration into `BENCH_fleet.json`, drift-checked in CI.
+//! - **Performance** lives outside this crate: the `fleet-sweep` and
+//!   `fleet-status` workloads of the repository's `benchmark/` package
+//!   time the router, shards, WAL and runner end to end and by layer,
+//!   and CI compares each change against its merge base on one runner
+//!   (`.github/perf_ab.py`).
 //! - **DVFS sweep driver** ([`sweep`]): runs every `hpceval-tune`
 //!   autotuner cell as a WAL-backed `Tune` job through the sharded
 //!   router; a killed shard's replay reproduces the energy-delay
@@ -44,7 +45,6 @@
 //! - **Observability** ([`events`]): job lifecycle events, bridged into
 //!   the `hpceval-telemetry` stream.
 
-pub mod bench;
 pub mod client;
 pub mod codec;
 pub mod daemon;
@@ -61,7 +61,6 @@ pub mod sweep;
 pub mod wal;
 pub mod wire;
 
-pub use bench::{run_suite, run_sustained_load, BenchOptions, BenchReport, BenchSuite};
 pub use client::{FleetClient, RankedServer, RemoteJob};
 pub use daemon::{Fleet, FleetConfig};
 pub use error::FleetError;

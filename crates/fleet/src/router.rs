@@ -28,8 +28,7 @@
 //! order, reassembled by request id) and wake the loop, which
 //! assembles and releases each finished response. Requests from many
 //! client connections therefore overlap inside every shard instead of
-//! serializing on one lock-step round-trip per shard — the difference
-//! between the 2-shard and 8-shard rows of `BENCH_fleet.json`.
+//! serializing on one lock-step round-trip per shard.
 //!
 //! Submit order stays deterministic: router keys are drawn on the
 //! single loop thread in request-arrival order, and the pool sends all
@@ -50,8 +49,10 @@
 //! - `submit` batches are atomic *per shard* (each shard's sub-batch
 //!   is WAL-logged all-or-nothing) but best-effort across shards: if
 //!   shard B pushes back after shard A accepted, the error propagates
-//!   and A keeps its jobs. Single-job submits — the sustained-load
-//!   pattern — are fully atomic.
+//!   and A keeps its jobs. Single-job submits are fully atomic.
+//! - A shard's error reply is relayed with the shard named
+//!   (`shard 1: unknown server …`); a backlog push-back keeps its
+//!   retry hint unchanged, so clients back off through the router.
 //! - `drain` fans out concurrently and completes when every shard is
 //!   dry; unlike the pre-pipelining router it no longer blocks the
 //!   loop, so status probes keep being answered while a drain runs
@@ -401,8 +402,16 @@ impl AssembledOp {
     }
 }
 
+/// A part's reply; a shard-side error names the shard it came from.
 fn take_done(part: Part) -> Result<Value, FleetError> {
-    part.done.expect("part polled or waited to completion before assembly")
+    let shard = part.shard;
+    part.done
+        .expect("part polled or waited to completion before assembly")
+        .map_err(|e| match e {
+            FleetError::Remote(msg) => FleetError::Remote(format!("shard {shard}: {msg}")),
+            FleetError::Protocol(msg) => FleetError::Protocol(format!("shard {shard}: {msg}")),
+            other => other,
+        })
 }
 
 fn wait_parts(parts: Vec<Part>) -> Vec<Part> {
@@ -545,6 +554,41 @@ mod tests {
                 (700..=1350).contains(&c),
                 "shard {i} got {c} of 4096 keys — splitmix64 range partition should be near-uniform"
             );
+        }
+    }
+
+    #[test]
+    fn a_relayed_shard_refusal_names_the_owning_shard() {
+        use crate::daemon::{Fleet, FleetConfig};
+        use crate::registry::Registry;
+
+        let mut addrs = Vec::new();
+        let mut wals = Vec::new();
+        let mut threads = Vec::new();
+        for s in 0..2 {
+            let wal = std::env::temp_dir()
+                .join(format!("hpceval-router-refusal-{}-{s}.wal", std::process::id()));
+            let _ = std::fs::remove_file(&wal);
+            let fleet =
+                Fleet::open(FleetConfig::default(), Registry::with_presets(), &wal).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            addrs.push(listener.local_addr().unwrap().to_string());
+            threads.push(std::thread::spawn(move || fleet.serve(listener)));
+            wals.push(wal);
+        }
+        let router = Router::connect(&addrs).unwrap();
+        // The first submit draws router key 0.
+        let owner = router.shard_of(0);
+        let job = JobKind::Green500 { server: "no-such-server".to_string() };
+        let err = router.submit(vec![job]).unwrap_err();
+        assert!(
+            matches!(&err, FleetError::Remote(msg) if msg.starts_with(&format!("shard {owner}: "))),
+            "the refusal must name shard {owner}: {err}"
+        );
+        router.shutdown_shards().unwrap();
+        for (thread, wal) in threads.into_iter().zip(wals) {
+            thread.join().unwrap().unwrap();
+            std::fs::remove_file(wal).unwrap();
         }
     }
 

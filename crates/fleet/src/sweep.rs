@@ -12,8 +12,7 @@
 //!    so the id↔cell mapping is positional;
 //! 3. drain every shard and read each cell's [`JobResult::output`]
 //!    **in-process** via [`Fleet::result_of`] (a merged wire drain of
-//!    a full sweep would exceed the 1 MiB frame cap, exactly like the
-//!    bench harness's completion check);
+//!    a full sweep would exceed the 1 MiB frame cap);
 //! 4. decode the outputs back into [`CellResult`]s, in cell order.
 //!
 //! Determinism end to end: cells are measured by seeded simulation, a
@@ -200,14 +199,22 @@ mod tests {
         plan_sweep(&opts).unwrap()
     }
 
+    /// Also the one live run of the router above two shards.
     #[test]
     fn sweep_jobs_reproduce_in_process_measurement() {
         let cells = smoke_cells();
-        let results = run_sweep(&cells, &SweepConfig::default()).unwrap();
-        assert_eq!(results.len(), cells.len());
-        for r in &results {
-            let direct = run_cell(&r.cell).unwrap();
-            assert_eq!(r.measure, direct, "{:?}: fleet path must be bitwise-identical", r.cell);
+        for shards in [1, 2, 4] {
+            let results = run_sweep(&cells, &SweepConfig { shards, ..SweepConfig::default() });
+            let results = results.unwrap();
+            assert_eq!(results.len(), cells.len());
+            for r in &results {
+                let direct = run_cell(&r.cell).unwrap();
+                assert_eq!(
+                    r.measure, direct,
+                    "{:?} on {shards} shard(s): fleet path must be bitwise-identical",
+                    r.cell
+                );
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 //! The whole pipeline is deterministic, so the committed baseline is
 //! compared **two-sided**: a tuned metric that drifts in *either*
 //! direction beyond `--tolerance` means the model changed and the
-//! baseline must be regenerated deliberately, exactly like the
-//! `BENCH_kernels.json` / `BENCH_fleet.json` gates.
+//! baseline must be regenerated deliberately. Unlike a timing, nothing
+//! here depends on the host, so CI checks it at zero tolerance.
 
 use std::collections::BTreeMap;
 

@@ -11,7 +11,7 @@
 //! hpceval monitor <server> [seed]     streaming monitor with fault injection
 //! hpceval verify                      run every kernel's verification
 //! hpceval trace capture|replay|stats  address-trace capture and replay (JSON)
-//! hpceval fleet serve|route|submit|status|drain|shutdown|smoke|bench
+//! hpceval fleet serve|route|submit|status|drain|shutdown|smoke
 //!                                     fault-tolerant orchestration daemon
 //! hpceval tune sweep|frontier|report|smoke
 //!                                     DVFS energy-optimal autotuner (JSON)
@@ -127,13 +127,13 @@ fn evaluate(spec: ServerSpec) -> ExitCode {
 }
 
 fn cluster(spec: ServerSpec) -> ExitCode {
-    use hpceval::core::cluster::{scaling_study, Interconnect};
+    use hpceval::core::cluster::{score_cluster_sizes, Interconnect};
     println!("cluster scaling of {} nodes over gigabit ethernet:", spec.name);
     println!(
         "{:>6} {:>14} {:>12} {:>12} {:>12}",
         "Nodes", "HPL(GFLOPS)", "Power(W)", "G500 PPW", "5-state PPW"
     );
-    for s in scaling_study(&spec, Interconnect::gigabit_ethernet(), &[1, 2, 4, 8, 16, 32]) {
+    for s in score_cluster_sizes(&spec, Interconnect::gigabit_ethernet(), &[1, 2, 4, 8, 16, 32]) {
         println!(
             "{:>6} {:>14.1} {:>12.1} {:>12.4} {:>12.4}",
             s.nodes, s.hpl_gflops, s.hpl_power_w, s.green500_ppw, s.five_state_ppw
@@ -418,7 +418,7 @@ fn trace_stats(args: &[String]) -> ExitCode {
 }
 
 const FLEET_USAGE: &str = "\
-usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke|bench> [flags]
+usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke> [flags]
   serve    --wal <path> [--addr HOST:PORT] [--workers N] [--queue-cap N]
            [--max-attempts N] [--crash-p X] [--straggler-p X]
            [--dropout-p X] [--fault-seed N]
@@ -430,14 +430,7 @@ usage: hpceval fleet <serve|route|submit|status|drain|shutdown|smoke|bench> [fla
   status   [--addr HOST:PORT] [--job N]
   drain    [--addr HOST:PORT]
   shutdown [--addr HOST:PORT]
-  smoke    [--seed N]   self-contained daemon smoke test (CI entry point)
-  bench    [--ops N] [--shards N[,N..]] [--clients N[,N..]]
-           [--pipeline-depth N[,N..]] [--submit-every N]
-           [--check BENCH_fleet.json] [--tolerance X]
-           in-process sustained load through the pipelined router;
-           comma lists sweep their cartesian product (default sweeps
-           2,4,8 shards) into per-configuration p50/p99 latency and
-           ops/s, optional drift check against a suite baseline";
+  smoke    [--seed N]   self-contained daemon smoke test (CI entry point)";
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7621";
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:7620";
@@ -492,7 +485,6 @@ fn fleet_cmd(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("serve") => fleet_serve(&args[1..]),
         Some("route") => fleet_route(&args[1..]),
-        Some("bench") => fleet_bench(&args[1..]),
         Some("submit") => fleet_submit(&args[1..]),
         Some("status") => fleet_status(&args[1..]),
         Some("drain") => fleet_drain(&args[1..]),
@@ -629,126 +621,6 @@ fn fleet_route(args: &[String]) -> ExitCode {
             eprintln!("router error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Parse a comma list of positive integers for sweep flags.
-fn parse_usize_list(key: &str, raw: &str) -> Result<Vec<usize>, String> {
-    let vals: Vec<usize> = raw
-        .split(',')
-        .map(|s| match s.trim().parse::<usize>() {
-            Ok(v) if v >= 1 => Ok(v),
-            _ => Err(format!("bad value {s:?} for --{key} (want positive integers, e.g. 2,4,8)")),
-        })
-        .collect::<Result<_, _>>()?;
-    if vals.is_empty() {
-        return Err(format!("--{key} needs at least one value"));
-    }
-    Ok(vals)
-}
-
-/// Scaled-down sustained-load gate (CI runs this in every matrix leg
-/// with `--ops` small, one swept configuration, and `--check
-/// BENCH_fleet.json`; the committed baseline itself comes from the
-/// full `fleet_bench` bin sweep).
-fn fleet_bench(args: &[String]) -> ExitCode {
-    use hpceval::fleet::bench::{check_suite, expand_configs, parse_baseline, DEFAULT_SHARD_SWEEP};
-    use hpceval::fleet::{run_suite, BenchOptions};
-
-    let parsed = parse_flags(
-        args,
-        &["ops", "shards", "clients", "pipeline-depth", "submit-every", "check", "tolerance"],
-    );
-    let (flags, positional) = match parsed {
-        Ok(p) => p,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    if !positional.is_empty() {
-        return fleet_usage_error(&format!("unexpected argument {:?}", positional[0]));
-    }
-    let defaults = BenchOptions::default();
-    let base = match (|| -> Result<BenchOptions, String> {
-        Ok(BenchOptions {
-            ops: parse_flag(&flags, "ops", defaults.ops)?,
-            submit_every: parse_flag(&flags, "submit-every", defaults.submit_every)?,
-            ..defaults.clone()
-        })
-    })() {
-        Ok(o) => o,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let swept = |key: &str, default: Vec<usize>| -> Result<Vec<usize>, String> {
-        match flag(&flags, key) {
-            None => Ok(default),
-            Some(raw) => parse_usize_list(key, raw),
-        }
-    };
-    let shards = match swept("shards", DEFAULT_SHARD_SWEEP.to_vec()) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let clients = match swept("clients", vec![defaults.clients]) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let depths = match swept("pipeline-depth", vec![defaults.pipeline_depth]) {
-        Ok(v) => v,
-        Err(e) => return fleet_usage_error(&e),
-    };
-    let tolerance = match parse_flag(&flags, "tolerance", 3.0f64) {
-        Ok(t) if t >= 0.0 && t.is_finite() => t,
-        _ => return fleet_usage_error("--tolerance takes a non-negative number"),
-    };
-
-    let configs = expand_configs(&base, &shards, &clients, &depths);
-    let suite = match run_suite(&configs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fleet bench failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (key, report) in &suite.configs {
-        println!(
-            "[{key}] {} ops over {} client(s), {} shard(s), depth {}: {:.2}s, {} job(s) completed",
-            report.ops,
-            report.clients,
-            report.shards,
-            report.pipeline_depth,
-            report.elapsed_s,
-            report.jobs_completed
-        );
-        for (name, value) in &report.metrics {
-            println!("  {name}: {value:.1}");
-        }
-    }
-
-    let Some(path) = flag(&flags, "check") else {
-        return ExitCode::SUCCESS;
-    };
-    let baseline = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| parse_baseline(&s))
-    {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot load baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check_suite(&baseline, &suite, tolerance);
-    if failures.is_empty() {
-        println!(
-            "fleet perf check passed: {} configuration(s) within tolerance {tolerance}",
-            suite.configs.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fleet perf check FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        ExitCode::FAILURE
     }
 }
 

@@ -41,14 +41,7 @@ fn malformed_fleet_invocations_print_fleet_usage_and_fail() {
         &["fleet", "route"],                                    // missing required --shards
         &["fleet", "route", "--shards", ","],                   // no addresses in list
         &["fleet", "route", "--relay", "x"],                    // unknown flag
-        &["fleet", "bench", "--ops", "many"],                   // bad number
-        &["fleet", "bench", "--tolerance", "-1"],               // negative tolerance
-        &["fleet", "bench", "extra"],                           // stray positional
-        &["fleet", "bench", "--shards", "0"],                   // zero shard count
-        &["fleet", "bench", "--shards", "2,x"],                 // junk in the list
-        &["fleet", "bench", "--clients", ""],                   // empty list
-        &["fleet", "bench", "--pipeline-depth", "x"],           // non-numeric depth
-        &["fleet", "bench", "--pipeline-depth", "0"],           // zero depth
+        &["fleet", "bench", "--ops", "1"],                      // retired subcommand
     ];
     for args in cases {
         let out = hpceval(args);
