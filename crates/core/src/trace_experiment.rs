@@ -4,11 +4,11 @@
 //! The analytic experiment ([`crate::regression_experiment`]) feeds the
 //! PMU synthesizer hand-written [`LocalityProfile`] presets. This module
 //! closes the loop instead: it *runs* the instrumented kernels at small
-//! scale under the sampled trace recorder, replays the captured address
-//! streams through the server's simulated cache hierarchy, converts the
-//! replayed [`TraceCounters`] into per-program locality profiles, and
-//! re-runs the full train/validate pipeline with those measured profiles
-//! substituted for the analytic ones. The end-to-end claim checked by
+//! scale under the trace recorder (every chunk recorded), replays the
+//! captured address streams through the server's simulated cache
+//! hierarchy, converts the replayed [`TraceCounters`] into per-program
+//! locality profiles, and re-runs the full train/validate pipeline with
+//! those measured profiles substituted for the analytic ones. The end-to-end claim checked by
 //! the tests: the paper's R² ordering (train ≈ 0.94 ≫ NPB-B ≈ 0.63 ≳
 //! NPB-C ≈ 0.54) survives the swap — the regression's quality is a
 //! property of the counters' information content, not of the hand-tuned
@@ -41,7 +41,7 @@ use crate::regression_experiment::{
 
 /// Problem sizes for the capture runs. Small enough that every
 /// kernel finishes in well under a second, large enough that every
-/// instrumented loop produces thousands of sampled accesses and the
+/// instrumented loop produces thousands of recorded accesses and the
 /// blocked/streaming/random structure is visible to the replay.
 mod sizes {
     /// DGEMM order (not a block multiple: edge tiles traced too).
@@ -93,7 +93,7 @@ mod sizes {
     pub const BT_STEPS: u32 = 2;
     /// LU grid edge and SSOR iterations. 12³ points relax twice per
     /// iteration (lower + upper sweep), each a 7-point gather plus a
-    /// 200-byte diagonal-inverse read — enough sampled accesses to
+    /// 200-byte diagonal-inverse read — enough recorded accesses to
     /// expose the wavefront's scattered-plane locality.
     pub const LU_N: usize = 12;
     pub const LU_SWEEPS: u32 = 2;
@@ -286,7 +286,9 @@ pub fn analytic_locality(region: Region) -> LocalityProfile {
 pub struct KernelCapture {
     /// Benchmark id, e.g. "dgemm" (matches [`Region::name`]).
     pub kernel: String,
-    /// Sampled block-descriptor events in the trace.
+    /// Block-descriptor events in the trace. Every chunk is recorded; IS
+    /// and RandomAccess emit a fixed 1-in-64 and 1-in-4 subset of their
+    /// scattered updates.
     pub events: u64,
     /// Expanded addresses those events describe.
     pub accesses: u64,
@@ -386,10 +388,6 @@ mod tests {
     use hpceval_machine::presets;
     use hpceval_trace::TraceMode;
 
-    fn full() -> CaptureConfig {
-        CaptureConfig { mode: TraceMode::Full, ..CaptureConfig::default() }
-    }
-
     #[test]
     fn capture_off_yields_none() {
         let config = CaptureConfig { mode: TraceMode::Off, ..CaptureConfig::default() };
@@ -400,7 +398,8 @@ mod tests {
     #[test]
     fn every_instrumented_kernel_produces_a_nonempty_trace() {
         for region in Region::ALL {
-            let trace = capture_kernel(region, full()).expect("sampled capture runs");
+            let trace =
+                capture_kernel(region, CaptureConfig::default()).expect("full capture runs");
             assert_eq!(trace.region, region);
             assert!(trace.total_events() > 0, "{} captured nothing", region.name());
             assert!(trace.total_accesses() > trace.total_events() / 2);
@@ -410,8 +409,8 @@ mod tests {
     #[test]
     fn captures_are_deterministic() {
         for region in [Region::Dgemm, Region::Is] {
-            let a = capture_kernel(region, full()).unwrap().encode();
-            let b = capture_kernel(region, full()).unwrap().encode();
+            let a = capture_kernel(region, CaptureConfig::default()).unwrap().encode();
+            let b = capture_kernel(region, CaptureConfig::default()).unwrap().encode();
             assert_eq!(a, b, "{} trace not reproducible", region.name());
         }
     }
@@ -424,7 +423,7 @@ mod tests {
         // The tile plan's residency level varies with the active cache
         // geometry, so the plan-invariant signal is the whole-hierarchy
         // hit ratio, not the L1 rate alone.
-        let locs = measure_localities(&presets::xeon_4870(), full()).unwrap();
+        let locs = measure_localities(&presets::xeon_4870(), CaptureConfig::default()).unwrap();
         let l1 = |k: &str| locs.get(k).unwrap().l1_hit;
         let hit =
             |k: &str| locs.captures.iter().find(|c| c.kernel == k).map(|c| c.hit_ratio).unwrap();
@@ -455,7 +454,7 @@ mod tests {
         // The §VI anchors — train 0.940, NPB-B 0.634, NPB-C 0.543 —
         // must survive swapping analytic profiles for replayed ones:
         // high train fit, clearly degraded but still-useful validation.
-        let e = run_trace_experiment(&presets::xeon_4870(), full(), 42)
+        let e = run_trace_experiment(&presets::xeon_4870(), CaptureConfig::default(), 42)
             .expect("trace-driven training succeeds");
         let train_r2 = e.experiment.model.summary().r_square;
         let b = e.experiment.npb_b.r2;

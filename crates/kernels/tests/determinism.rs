@@ -328,10 +328,10 @@ fn simd_scalar_and_avx2_bitwise_identical_across_widths() {
 /// The trace recorder's determinism contract: the *captured address
 /// trace* — not just the numeric output — is bitwise identical at every
 /// width. Chunk ids are width-invariant decomposition indices, epochs
-/// advance only at serial points, sampling is a pure hash of
-/// (seed, region, id), and the merge sorts chunks by id, so the encoded
-/// bytes cannot depend on the pool width. Replayed counters are a pure
-/// function of the trace, so they inherit the guarantee.
+/// advance only at serial points, every chunk is recorded, and the merge
+/// sorts chunks by id, so the encoded bytes cannot depend on the pool
+/// width. Replayed counters are a pure function of the trace, so they
+/// inherit the guarantee.
 #[test]
 fn captured_traces_bitwise_identical_across_widths() {
     let _alone = KERNELS.write().unwrap_or_else(PoisonError::into_inner);
@@ -339,16 +339,8 @@ fn captured_traces_bitwise_identical_across_widths() {
     use hpceval_trace::{replay, CaptureConfig, CaptureGuard, Region, ReplayOptions, Trace};
 
     fn capture(region: Region, width: usize) -> Trace {
-        // Sampled mode exercises the hash-selected chunk subset; the
-        // rate is mild (1-in-2) because the sampler is a pure hash and
-        // several kernels only produce a handful of chunks at these
-        // sizes — the subset must stay non-empty for every kernel.
-        let config = CaptureConfig {
-            mode: hpceval_trace::TraceMode::Sampled,
-            sample_one_in: 2,
-            ..CaptureConfig::default()
-        };
-        let guard = CaptureGuard::start(region, config).expect("sampled capture starts");
+        let guard =
+            CaptureGuard::start(region, CaptureConfig::default()).expect("full capture starts");
         with_width(width, || match region {
             Region::Dgemm => {
                 let n = 96;
@@ -370,8 +362,8 @@ fn captured_traces_bitwise_identical_across_widths() {
                 mg::v_cycle(&mut u, &v);
             }
             Region::Is => {
-                // 2^18 keys = four histogram chunks, enough for the
-                // 1-in-4 sampler to keep at least one.
+                // 2^18 keys = four histogram chunks, so the merge
+                // orders more than one.
                 let keys = is::generate_keys(1 << 18, 1 << 9, 99);
                 is::rank_keys(&keys, 1 << 9);
             }

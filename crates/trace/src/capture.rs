@@ -1,4 +1,4 @@
-//! Deterministic sampled trace capture.
+//! Deterministic full trace capture.
 //!
 //! ## Why chunk-keyed logs
 //!
@@ -12,13 +12,12 @@
 //! order. The resulting byte stream is independent of thread count and
 //! scheduling.
 //!
-//! ## Why chunk-granular sampling
+//! ## Why every chunk
 //!
-//! Sampling whole chunks (rather than individual accesses) keeps the
-//! hot-loop cost to one branch per chunk when tracing is enabled and a
-//! single relaxed atomic load when it is not. The decision is the pure
-//! function `splitmix64(seed ⊕ region ⊕ chunk) mod k == 0`, so the same
-//! chunks are kept on every run, at every width, on every machine.
+//! A session records every chunk of its region. The hot-loop cost is
+//! one region check per chunk while a session is live and a single
+//! relaxed atomic load when none is. Keeping only a subset of chunks
+//! was tried and removed: it lost the §VI R² ordering (DESIGN §14).
 //!
 //! ## Bounded memory
 //!
@@ -41,64 +40,14 @@ use crate::event::{
 };
 use crate::ring::TraceRing;
 
-/// Capture intensity, normally read from `HPCEVAL_TRACE`.
+/// Whether a [`CaptureGuard`] records at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// No capture; hooks cost one relaxed atomic load per chunk.
     #[default]
     Off,
-    /// Record a deterministic 1-in-k subset of chunks.
-    Sampled,
     /// Record every chunk.
     Full,
-}
-
-impl TraceMode {
-    /// Parse `off`/`sampled`/`full` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "" => Some(TraceMode::Off),
-            "sampled" | "sample" => Some(TraceMode::Sampled),
-            "full" => Some(TraceMode::Full),
-            _ => None,
-        }
-    }
-
-    /// Read `HPCEVAL_TRACE` (unset or unparsable ⇒ `Off`).
-    pub fn from_env() -> Self {
-        std::env::var("HPCEVAL_TRACE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            TraceMode::Off => 0,
-            TraceMode::Sampled => 1,
-            TraceMode::Full => 2,
-        }
-    }
-
-    /// Inverse of [`TraceMode::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(TraceMode::Off),
-            1 => Some(TraceMode::Sampled),
-            2 => Some(TraceMode::Full),
-            _ => None,
-        }
-    }
-
-    /// Lower-case name (the `HPCEVAL_TRACE` vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Sampled => "sampled",
-            TraceMode::Full => "full",
-        }
-    }
 }
 
 /// The instrumented kernel a capture session targets. Hooks from other
@@ -196,8 +145,8 @@ impl Region {
     }
 }
 
-/// splitmix64: the sampling hash. Pure, so the kept-chunk set is a
-/// function of (seed, region, chunk) only — never of threads or timing.
+/// splitmix64: a cheap, well-mixed 64-bit hash. The chunk-log maps key
+/// on it, and the fleet uses it to partition job keys across shards.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -205,15 +154,8 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default seed for capture sessions (any fixed value works; changing
-/// it selects a different deterministic chunk subset).
-pub const DEFAULT_SEED: u64 = 0x4850_4345_5641_4c31; // "HPCEVAL1"
-
-/// Default 1-in-k chunk sampling rate for [`TraceMode::Sampled`].
-pub const DEFAULT_SAMPLE_ONE_IN: u32 = 8;
-
-/// Default per-chunk event-ring capacity.
-pub const DEFAULT_CHUNK_CAPACITY: usize = 4096;
+/// Per-chunk event-ring capacity (oldest events drop beyond it).
+const CHUNK_CAPACITY: usize = 4096;
 
 const SHARDS: usize = 64;
 
@@ -242,35 +184,22 @@ impl Hasher for ChunkIdHasher {
 /// One shard of chunk logs, keyed by stored chunk id.
 type ChunkLogs = HashMap<u64, TraceRing<TraceEvent>, BuildHasherDefault<ChunkIdHasher>>;
 
-/// Capture-session parameters.
+/// Capture-session parameters. The default records every chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaptureConfig {
-    /// Sampling intensity ([`TraceMode::Off`] yields no session).
+    /// [`TraceMode::Off`] yields no session.
     pub mode: TraceMode,
-    /// Sampling seed; the kept-chunk subset is a pure function of it.
-    pub seed: u64,
-    /// Keep 1 chunk in this many under [`TraceMode::Sampled`].
-    pub sample_one_in: u32,
-    /// Event-ring capacity per chunk (oldest events drop beyond it).
-    pub chunk_capacity: usize,
+    /// Not a setting. Callers spell a config as
+    /// `CaptureConfig { mode, ..CaptureConfig::default() }`; with `mode`
+    /// as the only field, clippy's `needless_update` rejects that
+    /// spelling.
+    #[doc(hidden)]
+    pub _reserved: (),
 }
 
 impl Default for CaptureConfig {
     fn default() -> Self {
-        Self {
-            mode: TraceMode::Sampled,
-            seed: DEFAULT_SEED,
-            sample_one_in: DEFAULT_SAMPLE_ONE_IN,
-            chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-        }
-    }
-}
-
-impl CaptureConfig {
-    /// The default configuration with the mode taken from
-    /// `HPCEVAL_TRACE`.
-    pub fn from_env() -> Self {
-        Self { mode: TraceMode::from_env(), ..Self::default() }
+        Self { mode: TraceMode::Full, _reserved: () }
     }
 }
 
@@ -283,10 +212,6 @@ const EPOCH_SHIFT: u32 = 44;
 #[derive(Debug)]
 struct ActiveCapture {
     region: Region,
-    mode: TraceMode,
-    seed: u64,
-    sample_one_in: u32,
-    chunk_capacity: usize,
     /// Pass counter ([`hooks::begin_epoch`]): kernels that run their
     /// traced loop more than once per capture (CG's per-iteration
     /// matvec, STREAM's repeated ops, MG's V-cycles) bump this at each
@@ -305,23 +230,10 @@ impl ActiveCapture {
         (self.epoch.load(Ordering::Relaxed) << EPOCH_SHIFT) | chunk
     }
 
-    fn samples(&self, full_id: u64) -> bool {
-        match self.mode {
-            TraceMode::Off => false,
-            TraceMode::Full => true,
-            TraceMode::Sampled => {
-                let key = self.seed ^ (u64::from(self.region.tag()) << 56) ^ full_id;
-                splitmix64(key).is_multiple_of(u64::from(self.sample_one_in.max(1)))
-            }
-        }
-    }
-
     fn push(&self, full_id: u64, event: TraceEvent) {
         let shard = &self.shards[(full_id % SHARDS as u64) as usize];
         let mut map = shard.lock();
-        map.entry(full_id)
-            .or_insert_with(|| TraceRing::new(self.chunk_capacity))
-            .push(event);
+        map.entry(full_id).or_insert_with(|| TraceRing::new(CHUNK_CAPACITY)).push(event);
     }
 }
 
@@ -345,16 +257,14 @@ pub mod hooks {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    /// Full check: live session, matching region, chunk selected by the
-    /// sampler. Call once per chunk, then emit events with [`record`].
-    pub fn chunk_enabled(region: Region, chunk: u64) -> bool {
+    /// Full check: a live session for `region`. Call once per chunk,
+    /// then emit events with [`record`]. Every chunk is recorded, so the
+    /// answer does not depend on the chunk id.
+    pub fn chunk_enabled(region: Region, _chunk: u64) -> bool {
         if !enabled() {
             return false;
         }
-        match &*ACTIVE.read() {
-            Some(c) => c.region == region && c.samples(c.full_id(chunk)),
-            None => false,
-        }
+        ACTIVE.read().as_ref().is_some_and(|c| c.region == region)
     }
 
     /// Mark a serial point between traced passes (kernel entry, outer
@@ -373,9 +283,8 @@ pub mod hooks {
         }
     }
 
-    /// Record one access burst for `chunk`. Region and sampling are
-    /// re-checked, so calling without [`chunk_enabled`] is safe, just
-    /// slower.
+    /// Record one access burst for `chunk`. The region is re-checked,
+    /// so calling without [`chunk_enabled`] is safe, just slower.
     ///
     /// The merged trace is width-invariant because of how kernels call
     /// this: each chunk is processed by exactly one worker at a time,
@@ -401,11 +310,7 @@ pub mod hooks {
         if c.region != region {
             return;
         }
-        let full_id = c.full_id(chunk);
-        if !c.samples(full_id) {
-            return;
-        }
-        c.push(full_id, TraceEvent { kind, base, stride, count });
+        c.push(c.full_id(chunk), TraceEvent { kind, base, stride, count });
     }
 }
 
@@ -429,10 +334,6 @@ impl CaptureGuard {
         let session = SESSION.lock();
         let capture = Arc::new(ActiveCapture {
             region,
-            mode: config.mode,
-            seed: config.seed,
-            sample_one_in: config.sample_one_in.max(1),
-            chunk_capacity: config.chunk_capacity.max(1),
             epoch: AtomicU64::new(0),
             shards: (0..SHARDS).map(|_| Mutex::new(ChunkLogs::default())).collect(),
         });
@@ -458,14 +359,7 @@ impl CaptureGuard {
             }
         }
         chunks.sort_unstable_by_key(|c| c.id);
-        Trace {
-            region: self.capture.region,
-            mode: self.capture.mode,
-            seed: self.capture.seed,
-            sample_one_in: self.capture.sample_one_in,
-            chunks,
-            dropped,
-        }
+        Trace { region: self.capture.region, chunks, dropped }
     }
 }
 
@@ -493,12 +387,6 @@ pub struct ChunkTrace {
 pub struct Trace {
     /// The instrumented kernel.
     pub region: Region,
-    /// The sampling intensity the capture ran at.
-    pub mode: TraceMode,
-    /// The sampling seed.
-    pub seed: u64,
-    /// The 1-in-k rate ([`TraceMode::Sampled`] only; 1 under `Full`).
-    pub sample_one_in: u32,
     /// Per-chunk logs in ascending chunk-id order.
     pub chunks: Vec<ChunkTrace>,
     /// Events lost to per-chunk ring overflow.
@@ -507,6 +395,14 @@ pub struct Trace {
 
 const MAGIC: &[u8; 4] = b"HPTR";
 const VERSION: u8 = 1;
+
+// The v1 header keeps three slots from a retired chunk sampler: a mode
+// tag, a seed and a 1-in-k rate. Every stream carries the values a full
+// capture always wrote there, so dropping the sampler left trace bytes
+// unchanged; decode refuses any other mode tag.
+const HEADER_MODE_TAG: u8 = 2;
+const HEADER_SEED: u64 = 0x4850_4345_5641_4c31; // "HPCEVAL1"
+const HEADER_RATE: u64 = 8;
 
 /// Why a byte stream failed to decode as a [`Trace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -569,9 +465,9 @@ impl Trace {
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(self.region.tag());
-        out.push(self.mode.tag());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        put_uvarint(&mut out, u64::from(self.sample_one_in));
+        out.push(HEADER_MODE_TAG);
+        out.extend_from_slice(&HEADER_SEED.to_le_bytes());
+        put_uvarint(&mut out, HEADER_RATE);
         put_uvarint(&mut out, self.dropped);
         put_uvarint(&mut out, self.chunks.len() as u64);
         let mut prev_id = 0u64;
@@ -615,14 +511,16 @@ impl Trace {
         let rtag = byte(&mut pos)?;
         let region = Region::from_tag(rtag).ok_or(BadTag(rtag))?;
         let mtag = byte(&mut pos)?;
-        let mode = TraceMode::from_tag(mtag).ok_or(BadTag(mtag))?;
+        if mtag != HEADER_MODE_TAG {
+            return Err(BadTag(mtag));
+        }
+        // The seed and rate slots carry nothing; skip them.
         if pos + 8 > buf.len() {
             return Err(Truncated);
         }
-        let seed = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
         pos += 8;
         let varint = |pos: &mut usize| get_uvarint(buf, pos).ok_or(Truncated);
-        let sample_one_in = u32::try_from(varint(&mut pos)?).map_err(|_| Truncated)?;
+        varint(&mut pos)?;
         let dropped = varint(&mut pos)?;
         let chunk_count = varint(&mut pos)?;
         let mut chunks = Vec::new();
@@ -647,7 +545,7 @@ impl Trace {
         if pos != buf.len() {
             return Err(TrailingBytes);
         }
-        Ok(Trace { region, mode, seed, sample_one_in, chunks, dropped })
+        Ok(Trace { region, chunks, dropped })
     }
 }
 
@@ -655,12 +553,9 @@ impl Trace {
 mod tests {
     use super::*;
 
-    fn capture_two_chunks(mode: TraceMode) -> Trace {
-        let guard = CaptureGuard::start(
-            Region::Stream,
-            CaptureConfig { mode, seed: 7, sample_one_in: 2, chunk_capacity: 16 },
-        )
-        .expect("mode is not Off");
+    fn capture_eight_chunks() -> Trace {
+        let guard =
+            CaptureGuard::start(Region::Stream, CaptureConfig::default()).expect("default is Full");
         for chunk in 0..8u64 {
             if hooks::chunk_enabled(Region::Stream, chunk) {
                 hooks::record(Region::Stream, chunk, AccessKind::Read, chunk * 4096, 8, 64);
@@ -682,7 +577,7 @@ mod tests {
 
     #[test]
     fn full_mode_keeps_every_chunk() {
-        let t = capture_two_chunks(TraceMode::Full);
+        let t = capture_eight_chunks();
         assert_eq!(t.chunks.len(), 8);
         assert_eq!(t.total_events(), 16);
         assert_eq!(t.total_accesses(), 16 * 64);
@@ -691,26 +586,8 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mode_keeps_a_deterministic_subset() {
-        let a = capture_two_chunks(TraceMode::Sampled);
-        let b = capture_two_chunks(TraceMode::Sampled);
-        assert_eq!(a, b, "same seed, same subset, same bytes");
-        assert!(a.chunks.len() < 8, "1-in-2 sampling must drop chunks");
-        assert!(!a.chunks.is_empty(), "and keep some");
-        // Every kept chunk is one the sampler selects.
-        for c in &a.chunks {
-            let key = 7u64 ^ (u64::from(Region::Stream.tag()) << 56) ^ c.id;
-            assert_eq!(splitmix64(key) % 2, 0, "chunk {} not sampler-selected", c.id);
-        }
-    }
-
-    #[test]
     fn hooks_ignore_other_regions() {
-        let guard = CaptureGuard::start(
-            Region::Cg,
-            CaptureConfig { mode: TraceMode::Full, ..Default::default() },
-        )
-        .unwrap();
+        let guard = CaptureGuard::start(Region::Cg, CaptureConfig::default()).unwrap();
         hooks::record(Region::Mg, 0, AccessKind::Read, 0, 8, 4);
         assert!(!hooks::chunk_enabled(Region::Mg, 0));
         assert!(hooks::chunk_enabled(Region::Cg, 0));
@@ -734,24 +611,23 @@ mod tests {
 
     #[test]
     fn chunk_ring_drops_oldest_and_counts() {
-        let guard = CaptureGuard::start(
-            Region::RandomAccess,
-            CaptureConfig { mode: TraceMode::Full, chunk_capacity: 4, ..Default::default() },
-        )
-        .unwrap();
-        for i in 0..10u32 {
-            hooks::record(Region::RandomAccess, 0, AccessKind::Read, u64::from(i) * 64, 0, 1);
+        let guard = CaptureGuard::start(Region::RandomAccess, CaptureConfig::default()).unwrap();
+        let total = CHUNK_CAPACITY as u64 + 6;
+        for i in 0..total {
+            hooks::record(Region::RandomAccess, 0, AccessKind::Read, i * 64, 0, 1);
         }
         let t = guard.finish();
         assert_eq!(t.dropped, 6);
-        assert_eq!(t.chunks[0].events.len(), 4);
-        // The newest events survive.
-        assert_eq!(t.chunks[0].events[0].base, 6 * 64);
+        let events = &t.chunks[0].events;
+        assert_eq!(events.len(), CHUNK_CAPACITY);
+        // The newest events survive, in order.
+        assert_eq!(events[0].base, 6 * 64);
+        assert_eq!(events[CHUNK_CAPACITY - 1].base, (total - 1) * 64);
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        let t = capture_two_chunks(TraceMode::Full);
+        let t = capture_eight_chunks();
         let bytes = t.encode();
         let back = Trace::decode(&bytes).expect("round trip");
         assert_eq!(t, back);
@@ -763,10 +639,13 @@ mod tests {
     fn decode_rejects_garbage() {
         assert_eq!(Trace::decode(b"HP"), Err(DecodeError::Truncated));
         assert_eq!(Trace::decode(b"NOPE\x01\x01\x01"), Err(DecodeError::BadMagic));
-        let t = capture_two_chunks(TraceMode::Full);
+        let t = capture_eight_chunks();
         let mut bytes = t.encode();
         bytes[4] = 9; // version
         assert_eq!(Trace::decode(&bytes), Err(DecodeError::BadVersion(9)));
+        let mut bytes = t.encode();
+        bytes[6] = 1; // mode tag of a sampled capture
+        assert_eq!(Trace::decode(&bytes), Err(DecodeError::BadTag(1)));
         let mut bytes = t.encode();
         bytes.truncate(bytes.len() - 1);
         assert_eq!(Trace::decode(&bytes), Err(DecodeError::Truncated));
@@ -776,11 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_and_region_parse() {
-        assert_eq!(TraceMode::parse("SAMPLED"), Some(TraceMode::Sampled));
-        assert_eq!(TraceMode::parse("off"), Some(TraceMode::Off));
-        assert_eq!(TraceMode::parse("full"), Some(TraceMode::Full));
-        assert_eq!(TraceMode::parse("banana"), None);
+    fn region_parses() {
         for r in Region::ALL {
             assert_eq!(Region::parse(r.name()), Some(r));
             assert_eq!(Region::from_tag(r.tag()), Some(r));

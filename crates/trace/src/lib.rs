@@ -1,23 +1,21 @@
-//! Sampled address-trace capture and trace-driven cache replay.
+//! Address-trace capture and trace-driven cache replay.
 //!
 //! The paper's §VI regression trains on PMU counters; this crate closes
 //! the loop between the kernel implementations and those counters:
 //!
 //! ```text
-//! kernel hot loop ──hooks──▶ Trace ──replay──▶ TraceCounters ──bridge──▶ PmuCounters
+//! kernel hot loop ──hooks──▶ Trace ──replay──▶ TraceCounters ──bridge──▶ LocalityProfile
 //! ```
 //!
 //! * [`capture`] — global, near-zero-cost instrumentation hooks the
-//!   kernel crates call from their chunked hot loops; a deterministic
-//!   splitmix64 chunk sampler; per-chunk bounded event rings merged
-//!   into a [`capture::Trace`] in width-invariant order; a compact
-//!   delta/varint wire format,
+//!   kernel crates call from their chunked hot loops; per-chunk bounded
+//!   event rings merged into a [`capture::Trace`] in width-invariant
+//!   order; a compact delta/varint wire format,
 //! * [`event`] — block-descriptor events (base/stride/count over
 //!   *logical* addresses) and the varint/zigzag primitives,
 //! * [`replay`] — drives a trace through the `hpceval-machine`
 //!   write-back hierarchy (victim cache and way prediction optional)
-//!   and bridges the resulting counters back into locality profiles
-//!   and the paper's X1..X6 vector,
+//!   and bridges the resulting counters back into locality profiles,
 //! * [`ring`] — the bounded ring the per-chunk logs use.
 //!
 //! This crate sits *below* `hpceval-kernels` in the dependency graph

@@ -3,15 +3,13 @@
 //! Replaying a [`Trace`] through the `hpceval-machine` write-back
 //! hierarchy turns recorded addresses into the paper's X3..X6
 //! regression indicators: L2 hits, L3 hits, DRAM line fills (reads) and
-//! dirty write-backs (writes). [`TraceCounters::locality_profile`] and
-//! [`TraceCounters::to_pmu`] are the two bridges back into the analytic
-//! pipeline — the first replaces a closed-form locality split with the
-//! measured one, the second feeds the regression directly.
+//! dirty write-backs (writes). [`TraceCounters::locality_profile`] is the
+//! bridge back into the analytic pipeline: it replaces a closed-form
+//! locality split with the measured one.
 
 use hpceval_machine::cache::{CacheHierarchy, PredictionStats, WayPrediction};
 use hpceval_machine::spec::{CacheLevel, ServerSpec};
 use hpceval_machine::workload::LocalityProfile;
-use hpceval_machine::PmuCounters;
 
 use crate::capture::Trace;
 use crate::event::AccessKind;
@@ -31,7 +29,7 @@ pub struct ReplayOptions {
     /// full-size caches reports a working set that never leaves L1 even
     /// for kernels whose real instances stream from DRAM. Miniaturizing
     /// the hierarchy by the capture-to-real footprint ratio — the
-    /// standard trick in sampled trace simulation — restores the real
+    /// standard trick in trace-driven simulation — restores the real
     /// footprint-to-cache regime. Each level's capacity is multiplied
     /// by this factor (floored at one KiB); associativity and line size
     /// are preserved.
@@ -107,22 +105,6 @@ impl TraceCounters {
         }
         .normalized()
     }
-
-    /// The paper's X1..X6 vector for the traced interval. X1 and X2 are
-    /// not observable from a data-address trace, so the caller supplies
-    /// them (from the roofline model or a perf reading); X3..X6 come
-    /// from the replay, scaled by `scale` to undo trace sampling
-    /// (pass `sample_one_in as f64`, or 1.0 for full traces).
-    pub fn to_pmu(&self, working_cores: f64, instructions: f64, scale: f64) -> PmuCounters {
-        PmuCounters {
-            working_cores,
-            instructions,
-            l2_hits: self.l2_hits as f64 * scale,
-            l3_hits: self.l3_hits as f64 * scale,
-            mem_reads: self.mem_reads as f64 * scale,
-            mem_writes: self.mem_writes as f64 * scale,
-        }
-    }
 }
 
 /// One cache level at `scale` of its capacity (floored at 1 KiB, which
@@ -194,19 +176,12 @@ pub fn replay(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{ChunkTrace, Region, Trace, TraceMode};
+    use crate::capture::{ChunkTrace, Region, Trace};
     use crate::event::TraceEvent;
     use hpceval_machine::presets;
 
     fn trace_of(events: Vec<TraceEvent>) -> Trace {
-        Trace {
-            region: Region::Stream,
-            mode: TraceMode::Full,
-            seed: 0,
-            sample_one_in: 1,
-            chunks: vec![ChunkTrace { id: 0, events }],
-            dropped: 0,
-        }
+        Trace { region: Region::Stream, chunks: vec![ChunkTrace { id: 0, events }], dropped: 0 }
     }
 
     #[test]
@@ -241,17 +216,6 @@ mod tests {
         assert!(p.l1_hit > 0.8, "mostly-L1 replay: {p:?}");
         // Instruction-stream shape is inherited, not measured.
         assert_eq!(p.instr_per_op, LocalityProfile::streaming().instr_per_op);
-    }
-
-    #[test]
-    fn pmu_bridge_scales_sampled_counters() {
-        let events = vec![TraceEvent::read(0, 64, 1024)];
-        let c = replay(&trace_of(events), &presets::xeon_e5462(), ReplayOptions::default());
-        let pmu = c.to_pmu(4.0, 1e9, 8.0);
-        assert_eq!(pmu.working_cores, 4.0);
-        assert_eq!(pmu.instructions, 1e9);
-        assert_eq!(pmu.mem_reads, c.mem_reads as f64 * 8.0);
-        assert_eq!(pmu.as_features().len(), 6);
     }
 
     #[test]

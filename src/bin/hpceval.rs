@@ -217,17 +217,16 @@ fn monitor(spec: ServerSpec, seed: u64) -> ExitCode {
 
 const TRACE_USAGE: &str = "\
 usage: hpceval trace <capture|replay|stats> [flags]
-  capture <kernel>  [--mode sampled|full] [--seed N] [--sample-one-in N]
-                    capture the kernel's address trace; print a JSON summary
-  replay  <kernel>  [--server NAME] [--mode sampled|full] [--seed N] [--sample-one-in N]
+  capture <kernel>  capture the kernel's address trace; print a JSON summary
+  replay  <kernel>  [--server NAME]
                     capture, then replay through the server's miniaturized
                     hierarchy; print replayed counters and the measured
                     locality profile as JSON
-  stats             [--server NAME] [--seed N] [--mode sampled|full]
-                    run the full trace-driven regression experiment;
-                    print per-kernel profiles and the R² triple as JSON
-  kernels: dgemm stream cg mg is randomaccess ft hpl ep sp bt lu
-  --mode defaults to $HPCEVAL_TRACE, then to full";
+  stats             [--server NAME] [--seed N]
+                    run the full trace-driven regression experiment (N is
+                    the regression seed); print per-kernel profiles and
+                    the R² triple as JSON
+  kernels: dgemm stream cg mg is randomaccess ft hpl ep sp bt lu";
 
 fn trace_usage_error(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -243,29 +242,6 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         Some(other) => trace_usage_error(&format!("unknown trace subcommand {other:?}")),
         None => trace_usage_error("missing trace subcommand"),
     }
-}
-
-/// Capture config from `--mode/--seed/--sample-one-in` flags, with the
-/// mode falling back to `HPCEVAL_TRACE` and then to `full`.
-fn trace_config(flags: &[(&str, &str)]) -> Result<hpceval::trace::CaptureConfig, String> {
-    use hpceval::trace::{CaptureConfig, TraceMode};
-    let mode = match flag(flags, "mode") {
-        Some(raw) => TraceMode::parse(raw).ok_or(format!("bad value {raw:?} for --mode"))?,
-        None => match TraceMode::from_env() {
-            TraceMode::Off => TraceMode::Full,
-            m => m,
-        },
-    };
-    if mode == TraceMode::Off {
-        return Err("--mode off captures nothing".to_string());
-    }
-    let defaults = CaptureConfig::default();
-    Ok(CaptureConfig {
-        mode,
-        seed: parse_flag(flags, "seed", defaults.seed)?,
-        sample_one_in: parse_flag(flags, "sample-one-in", defaults.sample_one_in)?,
-        ..defaults
-    })
 }
 
 /// The one positional `<kernel>` argument as a trace region.
@@ -295,20 +271,15 @@ fn json_locality(p: &hpceval::machine::workload::LocalityProfile) -> String {
 
 fn trace_capture(args: &[String]) -> ExitCode {
     let result = (|| -> Result<String, String> {
-        let (flags, positional) = parse_flags(args, &["mode", "seed", "sample-one-in"])?;
+        let (_, positional) = parse_flags(args, &[])?;
         let region = trace_region(&positional)?;
-        let config = trace_config(&flags)?;
-        let trace = hpceval::core::trace_experiment::capture_kernel(region, config)
+        let trace = hpceval::core::trace_experiment::capture_kernel(region, Default::default())
             .ok_or("capture produced no trace")?;
         let (reads, writes) = trace.access_split();
         Ok(format!(
-            "{{\"kernel\":\"{}\",\"mode\":\"{}\",\"seed\":{},\"sample_one_in\":{},\
-             \"chunks\":{},\"events\":{},\"accesses\":{},\"reads\":{},\"writes\":{},\
-             \"dropped\":{},\"encoded_bytes\":{}}}",
+            "{{\"kernel\":\"{}\",\"chunks\":{},\"events\":{},\"accesses\":{},\
+             \"reads\":{},\"writes\":{},\"dropped\":{},\"encoded_bytes\":{}}}",
             region.name(),
-            trace.mode.name(),
-            trace.seed,
-            trace.sample_one_in,
             trace.chunks.len(),
             trace.total_events(),
             trace.total_accesses(),
@@ -330,11 +301,11 @@ fn trace_capture(args: &[String]) -> ExitCode {
 fn trace_replay(args: &[String]) -> ExitCode {
     use hpceval::core::trace_experiment::{analytic_locality, capture_kernel, replay_options};
     let result = (|| -> Result<String, String> {
-        let (flags, positional) = parse_flags(args, &["server", "mode", "seed", "sample-one-in"])?;
+        let (flags, positional) = parse_flags(args, &["server"])?;
         let region = trace_region(&positional)?;
-        let config = trace_config(&flags)?;
         let spec = trace_server(&flags)?;
-        let trace = capture_kernel(region, config).ok_or("capture produced no trace")?;
+        let trace =
+            capture_kernel(region, Default::default()).ok_or("capture produced no trace")?;
         let opts = replay_options(region);
         let counters = hpceval::trace::replay(&trace, &spec, opts);
         let measured = counters.locality_profile(&analytic_locality(region));
@@ -368,19 +339,19 @@ fn trace_replay(args: &[String]) -> ExitCode {
 
 fn trace_stats(args: &[String]) -> ExitCode {
     use hpceval::core::trace_experiment::run_trace_experiment;
-    let parsed = (|| -> Result<(ServerSpec, hpceval::trace::CaptureConfig, u64), String> {
-        let (flags, positional) = parse_flags(args, &["server", "mode", "seed"])?;
+    let parsed = (|| -> Result<(ServerSpec, u64), String> {
+        let (flags, positional) = parse_flags(args, &["server", "seed"])?;
         if let Some(extra) = positional.first() {
             return Err(format!("unexpected argument {extra:?}"));
         }
-        Ok((trace_server(&flags)?, trace_config(&flags)?, parse_flag(&flags, "seed", 42u64)?))
+        Ok((trace_server(&flags)?, parse_flag(&flags, "seed", 42u64)?))
     })();
-    let (spec, config, seed) = match parsed {
+    let (spec, seed) = match parsed {
         Ok(p) => p,
         Err(e) => return trace_usage_error(&e),
     };
-    let Some(exp) = run_trace_experiment(&spec, config, seed) else {
-        eprintln!("trace-driven training failed (capture off or degenerate sample set)");
+    let Some(exp) = run_trace_experiment(&spec, Default::default(), seed) else {
+        eprintln!("trace-driven training failed (degenerate sample set)");
         return ExitCode::FAILURE;
     };
     let kernels = exp
@@ -403,11 +374,10 @@ fn trace_stats(args: &[String]) -> ExitCode {
         .join(",");
     let s = exp.experiment.model.summary();
     println!(
-        "{{\"server\":\"{}\",\"mode\":\"{}\",\"seed\":{},\"observations\":{},\
+        "{{\"server\":\"{}\",\"seed\":{},\"observations\":{},\
          \"kernels\":[{kernels}],\
          \"train_r2\":{},\"npb_b_r2\":{},\"npb_c_r2\":{}}}",
         spec.name,
-        config.mode.name(),
         seed,
         exp.experiment.observations,
         s.r_square,

@@ -9,7 +9,7 @@
 //!   Benchmarks and the seven HPCC programs.
 //! * [`power`] — ground-truth power model, WT210 meter simulation and the
 //!   paper's trace-analysis pipeline.
-//! * [`trace`] — sampled address-trace capture hooks and trace-driven
+//! * [`trace`] — address-trace capture hooks and trace-driven
 //!   cache replay (the measured-locality path into the regression).
 //! * [`specpower`] — a SPECpower_ssj2008-like graduated-load workload.
 //! * [`regression`] — forward-stepwise multiple linear regression.

@@ -84,17 +84,19 @@ fn fleet_smoke_passes() {
 #[test]
 fn malformed_trace_invocations_print_trace_usage_and_fail() {
     let cases: &[&[&str]] = &[
-        &["trace"],                                       // missing subcommand
-        &["trace", "explode"],                            // unknown subcommand
-        &["trace", "capture"],                            // missing kernel
-        &["trace", "capture", "ua"],                      // unknown kernel
-        &["trace", "capture", "dgemm", "extra"],          // stray positional
-        &["trace", "capture", "dgemm", "--mode", "?"],    // bad mode
-        &["trace", "capture", "dgemm", "--mode", "off"],  // off captures nothing
-        &["trace", "capture", "dgemm", "--bogus", "1"],   // unknown flag
-        &["trace", "replay", "cg", "--server", "cray-1"], // unknown server
-        &["trace", "replay", "cg", "--seed", "many"],     // bad number
-        &["trace", "stats", "extra"],                     // stray positional
+        &["trace"],                                         // missing subcommand
+        &["trace", "explode"],                              // unknown subcommand
+        &["trace", "capture"],                              // missing kernel
+        &["trace", "capture", "ua"],                        // unknown kernel
+        &["trace", "capture", "dgemm", "extra"],            // stray positional
+        &["trace", "capture", "dgemm", "--bogus", "1"],     // unknown flag
+        &["trace", "capture", "dgemm", "--mode", "full"],   // retired flag
+        &["trace", "replay", "cg", "--sample-one-in", "2"], // retired flag
+        &["trace", "replay", "cg", "--seed", "1"],          // retired flag
+        &["trace", "replay", "cg", "--server", "cray-1"],   // unknown server
+        &["trace", "stats", "--seed", "many"],              // bad number
+        &["trace", "stats", "--mode", "full"],              // retired flag
+        &["trace", "stats", "extra"],                       // stray positional
     ];
     for args in cases {
         let out = hpceval(args);
@@ -108,17 +110,26 @@ fn malformed_trace_invocations_print_trace_usage_and_fail() {
 }
 
 /// `trace capture`/`trace replay` print one line of JSON with the
-/// pinned keys; the sampled capture is reproducible run-to-run.
+/// pinned keys; the capture records accesses and is reproducible
+/// run-to-run.
 #[test]
 fn trace_capture_and_replay_emit_json() {
-    let out = hpceval(&["trace", "capture", "is", "--mode", "sampled"]);
+    let out = hpceval(&["trace", "capture", "is"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    for key in ["\"kernel\":\"is\"", "\"mode\":\"sampled\"", "\"accesses\":", "\"encoded_bytes\":"]
-    {
-        assert!(text.contains(key), "missing {key} in {text}");
-    }
-    let again = hpceval(&["trace", "capture", "is", "--mode", "sampled"]);
+    let json = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    // The object is flat, so its keys are what precedes each ':'.
+    let keys: Vec<&str> = (text.trim().trim_matches(['{', '}']).split(','))
+        .map(|kv| kv.split(':').next().unwrap_or_default().trim_matches('"'))
+        .collect();
+    assert_eq!(
+        keys,
+        ["kernel", "chunks", "events", "accesses", "reads", "writes", "dropped", "encoded_bytes"]
+    );
+    assert_eq!(json.get("kernel").and_then(|v| v.as_str()), Some("is"), "{text}");
+    let accesses = json.get("accesses").and_then(|v| v.as_u64());
+    assert!(accesses > Some(0), "a full IS capture must record accesses: {text}");
+    let again = hpceval(&["trace", "capture", "is"]);
     assert_eq!(text, String::from_utf8_lossy(&again.stdout), "capture must be deterministic");
 
     let out = hpceval(&["trace", "replay", "stream", "--server", "xeon-e5462"]);

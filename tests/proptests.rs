@@ -229,13 +229,10 @@ proptest! {
         passes in 2u32..4,
         seed in 0u64..1_000,
     ) {
-        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace, TraceEvent, TraceMode};
+        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace, TraceEvent};
 
         let synthetic = |events: Vec<TraceEvent>| Trace {
             region: Region::Stream,
-            mode: TraceMode::Full,
-            seed: 0,
-            sample_one_in: 1,
             chunks: vec![ChunkTrace { id: 0, events }],
             dropped: 0,
         };
@@ -266,55 +263,42 @@ proptest! {
     }
 }
 
-proptest! {
-    // Each case runs real kernel captures; keep the count small.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The analytic locality presets and the trace-replay measurements
+/// agree on DGEMM and STREAM within a documented tolerance. The bounds
+/// are deliberately loose (the presets are hand-tuned splits, the
+/// replay measures line-granular spatial locality), but tight enough
+/// that a replay regression that flips a kernel's character
+/// (cache-resident vs streaming) trips them.
+#[test]
+fn measured_and_analytic_localities_agree_for_dgemm_and_stream() {
+    use hpceval::core::trace_experiment::{analytic_locality, capture_kernel, replay_options};
+    use hpceval::trace::{replay, CaptureConfig, Region};
 
-    /// The analytic locality presets and the trace-replay measurements
-    /// agree on DGEMM and STREAM within a documented tolerance — for
-    /// any capture seed and sampling rate. The bounds are deliberately
-    /// loose (the presets are hand-tuned splits, the replay measures
-    /// line-granular spatial locality), but tight enough that a replay
-    /// regression that flips a kernel's character (cache-resident vs
-    /// streaming) trips them.
-    #[test]
-    fn measured_and_analytic_localities_agree_for_dgemm_and_stream(
-        seed in 0u64..(1 << 48),
-        sample_one_in in 1u32..4,
-    ) {
-        use hpceval::core::trace_experiment::{analytic_locality, capture_kernel, replay_options};
-        use hpceval::trace::{replay, CaptureConfig, Region, TraceMode};
-
-        let spec = presets::xeon_4870();
-        let config = CaptureConfig {
-            mode: TraceMode::Sampled,
-            seed,
-            sample_one_in,
-            ..CaptureConfig::default()
-        };
-        let mut l1 = [0.0f64; 2];
-        for (i, region) in [Region::Dgemm, Region::Stream].into_iter().enumerate() {
-            let trace = capture_kernel(region, config).expect("sampled capture runs");
-            let counters = replay(&trace, &spec, replay_options(region));
-            let analytic = analytic_locality(region);
-            // An unlucky sampling subset can be empty; the profile then
-            // falls back to the analytic preset, which agrees trivially.
-            let measured = counters.locality_profile(&analytic);
-            prop_assert!(
-                (measured.l1_hit - analytic.l1_hit).abs() <= 0.30,
-                "{}: measured l1 {} vs analytic {}",
-                region.name(), measured.l1_hit, analytic.l1_hit
-            );
-            prop_assert!(
-                (measured.mem - analytic.mem).abs() <= 0.25,
-                "{}: measured mem {} vs analytic {}",
-                region.name(), measured.mem, analytic.mem
-            );
-            l1[i] = measured.l1_hit;
-        }
-        // Whatever the subset, blocked DGEMM out-hits streaming STREAM.
-        prop_assert!(l1[0] > l1[1], "dgemm l1 {} must beat stream l1 {}", l1[0], l1[1]);
+    let spec = presets::xeon_4870();
+    let mut l1 = [0.0f64; 2];
+    for (i, region) in [Region::Dgemm, Region::Stream].into_iter().enumerate() {
+        let trace = capture_kernel(region, CaptureConfig::default()).expect("full capture runs");
+        let counters = replay(&trace, &spec, replay_options(region));
+        let analytic = analytic_locality(region);
+        let measured = counters.locality_profile(&analytic);
+        assert!(
+            (measured.l1_hit - analytic.l1_hit).abs() <= 0.30,
+            "{}: measured l1 {} vs analytic {}",
+            region.name(),
+            measured.l1_hit,
+            analytic.l1_hit
+        );
+        assert!(
+            (measured.mem - analytic.mem).abs() <= 0.25,
+            "{}: measured mem {} vs analytic {}",
+            region.name(),
+            measured.mem,
+            analytic.mem
+        );
+        l1[i] = measured.l1_hit;
     }
+    // Blocked DGEMM out-hits streaming STREAM.
+    assert!(l1[0] > l1[1], "dgemm l1 {} must beat stream l1 {}", l1[0], l1[1]);
 }
 
 proptest! {
@@ -509,15 +493,12 @@ proptest! {
         split in 0usize..48,
     ) {
         use hpceval::machine::cache::WayPrediction;
-        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace, TraceMode};
+        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace};
 
         // Two chunks, so replay also crosses a chunk boundary.
         let at = split.min(bursts.len());
         let trace = Trace {
             region: Region::Stream,
-            mode: TraceMode::Full,
-            seed: 0,
-            sample_one_in: 1,
             chunks: vec![
                 ChunkTrace { id: 0, events: bursts[..at].to_vec() },
                 ChunkTrace { id: 1, events: bursts[at..].to_vec() },
