@@ -9,7 +9,8 @@ benchmark/spread.py run_once and BENCHMARK.json, so command, run length and
 correctness checks are that tree's own. PAIRS pairs per workload alternate
 which side goes first; pair i uses seed i + 1 on both sides. Gated: every
 kernel.<name>.s of a traced `kernels` run, and throughput and p50/tail
-latency of untraced `fleet-sweep` and `fleet-status` runs. The gate fails
+latency of untraced `fleet-sweep`, `fleet-status` and `paper` runs (the
+fleet request path and the trace-driven paper pipeline). The gate fails
 when a metric's median per-pair worsening factor (change / base, inverted
 when higher is better) exceeds 1 + TOLERANCE, or when a metric the base
 reports is missing from the change's output.
@@ -24,11 +25,12 @@ from pathlib import Path
 
 PAIRS = 5
 TOLERANCE = 3.0
-FLEET = re.compile(r"throughput_per_s|latency_p50_ms|latency_tail_ms")
+END_TO_END = re.compile(r"throughput_per_s|latency_p50_ms|latency_tail_ms")
 GATES = {  # workload: (--trace, gated metric names)
     "kernels": (1, re.compile(r"kernel\.[a-z_]+\.s")),
-    "fleet-sweep": (0, FLEET),
-    "fleet-status": (0, FLEET),
+    "fleet-sweep": (0, END_TO_END),
+    "fleet-status": (0, END_TO_END),
+    "paper": (0, END_TO_END),
 }
 
 

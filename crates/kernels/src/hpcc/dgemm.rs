@@ -81,8 +81,7 @@ impl DgemmWorkspace {
         let slot = self.plan.tile_elems();
         let jtiles = self.jtiles;
         self.packed.par_chunks_mut(jtiles * slot).enumerate().for_each(|(tk, strip)| {
-            let chunk = TRACE_PACK_CHUNK + tk as u64;
-            let tr = hooks::chunk_enabled(Region::Dgemm, chunk);
+            let mut log = hooks::chunk(Region::Dgemm, TRACE_PACK_CHUNK + tk as u64);
             let kb = tk * kc;
             let kw = kc.min(n - kb);
             for (tj, tile) in strip.chunks_mut(slot).enumerate() {
@@ -91,13 +90,11 @@ impl DgemmWorkspace {
                 for (kk, trow) in tile.chunks_mut(jw).take(kw).enumerate() {
                     let src = (kb + kk) * n + jb;
                     trow.copy_from_slice(&b[src..src + jw]);
-                    if tr {
+                    if let Some(log) = log.as_mut() {
                         let dst = (tk * jtiles + tj) * slot + kk * jw;
-                        let r = Region::Dgemm;
                         let w = jw as u32;
-                        hooks::record(r, chunk, AccessKind::Read, TRACE_B + (src * 8) as u64, 8, w);
-                        let at = TRACE_PACKED + (dst * 8) as u64;
-                        hooks::record(r, chunk, AccessKind::Write, at, 8, w);
+                        log.record(AccessKind::Read, TRACE_B + (src * 8) as u64, 8, w);
+                        log.record(AccessKind::Write, TRACE_PACKED + (dst * 8) as u64, 8, w);
                     }
                 }
             }
@@ -177,16 +174,15 @@ pub fn dgemm_with(
     let TilePlan { mc, kc, nc } = ws.plan;
     hooks::begin_epoch(Region::Dgemm);
     c.par_chunks_mut(n * mc.max(1)).enumerate().for_each(|(panel, cpanel)| {
-        let chunk = panel as u64;
-        let tr = hooks::chunk_enabled(Region::Dgemm, chunk);
+        let mut log = hooks::chunk(Region::Dgemm, panel as u64);
         let r0 = panel * mc;
         let rows = cpanel.len() / n;
         // Scale the C panel by beta once.
         simd::scale_in_place(m, cpanel, beta);
-        if tr {
+        if let Some(log) = log.as_mut() {
             let at = TRACE_C + (r0 * n * 8) as u64;
-            hooks::record(Region::Dgemm, chunk, AccessKind::Read, at, 8, (rows * n) as u32);
-            hooks::record(Region::Dgemm, chunk, AccessKind::Write, at, 8, (rows * n) as u32);
+            log.record(AccessKind::Read, at, 8, (rows * n) as u32);
+            log.record(AccessKind::Write, at, 8, (rows * n) as u32);
         }
         let mut kb = 0;
         let mut tk = 0;
@@ -197,21 +193,20 @@ pub fn dgemm_with(
             while jb < n {
                 let jw = nc.min(n - jb);
                 let bt = ws.tile(tk, tj, kw, jw);
-                if tr {
+                if let Some(log) = log.as_mut() {
                     let at =
                         TRACE_PACKED + ((tk * ws.jtiles + tj) * ws.plan.tile_elems() * 8) as u64;
-                    hooks::record(Region::Dgemm, chunk, AccessKind::Read, at, 8, (kw * jw) as u32);
+                    log.record(AccessKind::Read, at, 8, (kw * jw) as u32);
                 }
                 for r in 0..rows {
                     let arow = &a[(r0 + r) * n + kb..(r0 + r) * n + kb + kw];
                     let crow = &mut cpanel[r * n + jb..r * n + jb + jw];
-                    if tr {
-                        let rg = Region::Dgemm;
+                    if let Some(log) = log.as_mut() {
                         let a_at = TRACE_A + (((r0 + r) * n + kb) * 8) as u64;
                         let c_at = TRACE_C + (((r0 + r) * n + jb) * 8) as u64;
-                        hooks::record(rg, chunk, AccessKind::Read, a_at, 8, kw as u32);
-                        hooks::record(rg, chunk, AccessKind::Read, c_at, 8, jw as u32);
-                        hooks::record(rg, chunk, AccessKind::Write, c_at, 8, jw as u32);
+                        log.record(AccessKind::Read, a_at, 8, kw as u32);
+                        log.record(AccessKind::Read, c_at, 8, jw as u32);
+                        log.record(AccessKind::Write, c_at, 8, jw as u32);
                     }
                     simd::tile_row_update(m, crow, bt, arow, alpha);
                 }

@@ -76,13 +76,12 @@ pub fn run(n: usize, reps: u32) -> StreamOutcome {
     // Per-span trace burst: `srcs` read then `dst` written, all
     // unit-stride doubles. One enabled() branch per span when untraced.
     let trace = |i: usize, len: usize, srcs: &[u64], dst: u64| {
-        let chunk = i as u64;
-        if hooks::chunk_enabled(Region::Stream, chunk) {
+        if let Some(mut log) = hooks::chunk(Region::Stream, i as u64) {
             let off = (i * SPAN * 8) as u64;
             for &s in srcs {
-                hooks::record(Region::Stream, chunk, AccessKind::Read, s + off, 8, len as u32);
+                log.record(AccessKind::Read, s + off, 8, len as u32);
             }
-            hooks::record(Region::Stream, chunk, AccessKind::Write, dst + off, 8, len as u32);
+            log.record(AccessKind::Write, dst + off, 8, len as u32);
         }
     };
     for _ in 0..reps {

@@ -132,7 +132,7 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
             // phase chunk ids never collide across iterations.
             hooks::begin_epoch(Region::Hpl);
             let kb = nb.min(n - k);
-            let tr = hooks::chunk_enabled(Region::Hpl, TRACE_PANEL_CHUNK);
+            let mut log = hooks::chunk(Region::Hpl, TRACE_PANEL_CHUNK);
             // --- Panel factorization (columns k..k+kb), unblocked. ---
             for j in k..k + kb {
                 // Find pivot in column j at/below row j.
@@ -160,49 +160,35 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
                         a.set(r, c, v);
                     }
                 }
-                if tr {
-                    let rg = Region::Hpl;
-                    let ch = TRACE_PANEL_CHUNK;
+                if let Some(log) = log.as_mut() {
                     let stride = (n * 8) as u32;
                     // Pivot search walks column j, the scaling writes it
                     // back below the diagonal, and the panel update
                     // re-reads pivot row j across the panel width.
                     let col = TRACE_MAT + ((j * n + j) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, col, stride, (n - j) as u32);
+                    log.record(AccessKind::Read, col, stride, (n - j) as u32);
                     if j + 1 < n {
                         let below = TRACE_MAT + (((j + 1) * n + j) * 8) as u64;
-                        hooks::record(rg, ch, AccessKind::Write, below, stride, (n - j - 1) as u32);
+                        log.record(AccessKind::Write, below, stride, (n - j - 1) as u32);
                     }
                     let prow = TRACE_MAT + ((j * n + j) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, prow, 8, (k + kb - j) as u32);
+                    log.record(AccessKind::Read, prow, 8, (k + kb - j) as u32);
                 }
             }
+            // A thread keeps one log open at a time: commit the panel's
+            // before the U row opens its own.
+            drop(log);
 
             let end = k + kb;
             if end < n {
                 // --- U block row: solve L11 · U12 = A12 (unit lower). ---
                 let m = simd::mode();
-                let tru = hooks::chunk_enabled(Region::Hpl, TRACE_UROW_CHUNK);
+                let mut log = hooks::chunk(Region::Hpl, TRACE_UROW_CHUNK);
                 for j in k..end {
-                    if tru {
-                        let rg = Region::Hpl;
+                    if let Some(log) = log.as_mut() {
                         let rj = TRACE_MAT + ((j * n + end) * 8) as u64;
-                        hooks::record(
-                            rg,
-                            TRACE_UROW_CHUNK,
-                            AccessKind::Read,
-                            rj,
-                            8,
-                            (n - end) as u32,
-                        );
-                        hooks::record(
-                            rg,
-                            TRACE_UROW_CHUNK,
-                            AccessKind::Write,
-                            rj,
-                            8,
-                            (n - end) as u32,
-                        );
+                        log.record(AccessKind::Read, rj, 8, (n - end) as u32);
+                        log.record(AccessKind::Write, rj, 8, (n - end) as u32);
                     }
                     for r in k..j {
                         let mult = a.get(j, r);
@@ -214,21 +200,16 @@ pub fn factor(mut a: Matrix, nb: usize, threads: usize) -> Result<LuFactors, LuE
                             let rowr = &head[r * n + end..r * n + n];
                             let rowj = &mut rest[end..n];
                             simd::axpy(m, rowj, rowr, -mult);
-                            if tru {
+                            if let Some(log) = log.as_mut() {
                                 let ra = TRACE_MAT + ((r * n + end) * 8) as u64;
-                                let w = (n - end) as u32;
-                                hooks::record(
-                                    Region::Hpl,
-                                    TRACE_UROW_CHUNK,
-                                    AccessKind::Read,
-                                    ra,
-                                    8,
-                                    w,
-                                );
+                                log.record(AccessKind::Read, ra, 8, (n - end) as u32);
                             }
                         }
                     }
                 }
+                // Commit before the parallel trailing update opens one
+                // log per row on the workers.
+                drop(log);
                 // --- Trailing update: A22 -= L21 · U12 (parallel bands). ---
                 let (head, tail) = a.data.split_at_mut(end * n);
                 let u12 = &head[k * n..]; // rows k..end
@@ -268,20 +249,18 @@ pub fn trailing_update(tail: &mut [f64], u12: &[f64], n: usize, k: usize, end: u
             // decomposition is pool-shaped, but `bi·band + ri` is the
             // row's absolute position in `tail` at any width.
             let grow = end + bi * band + ri;
-            if hooks::chunk_enabled(Region::Hpl, grow as u64) {
-                let rg = Region::Hpl;
-                let ch = grow as u64;
+            if let Some(mut log) = hooks::chunk(Region::Hpl, grow as u64) {
                 // One GEMM row: the fixed L21 multipliers, every U12
                 // row streamed against it, and the updated row segment.
                 let lrow = TRACE_MAT + ((grow * n + k) * 8) as u64;
-                hooks::record(rg, ch, AccessKind::Read, lrow, 8, (end - k) as u32);
+                log.record(AccessKind::Read, lrow, 8, (end - k) as u32);
                 for ur in k..end {
                     let ua = TRACE_MAT + ((ur * n + end) * 8) as u64;
-                    hooks::record(rg, ch, AccessKind::Read, ua, 8, (n - end) as u32);
+                    log.record(AccessKind::Read, ua, 8, (n - end) as u32);
                 }
                 let ca = TRACE_MAT + ((grow * n + end) * 8) as u64;
-                hooks::record(rg, ch, AccessKind::Read, ca, 8, (n - end) as u32);
-                hooks::record(rg, ch, AccessKind::Write, ca, 8, (n - end) as u32);
+                log.record(AccessKind::Read, ca, 8, (n - end) as u32);
+                log.record(AccessKind::Write, ca, 8, (n - end) as u32);
             }
             // The multipliers row[k..end] are fixed L21 entries (only
             // columns end.. are written), so pairs of U rows can stream

@@ -169,18 +169,15 @@ impl SparseMatrix {
             // Trace the row's stream: row_ptr pair, vals/cols runs, the
             // irregular x gathers (one event each — they are what makes
             // CG the latency stressor), and the y write.
-            let chunk = r as u64;
-            if hooks::chunk_enabled(Region::Cg, chunk) {
-                let rg = Region::Cg;
+            if let Some(mut log) = hooks::chunk(Region::Cg, r as u64) {
                 let nnz = (hi - lo) as u32;
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_ROWPTR + (r * 8) as u64, 8, 2);
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_VALS + (lo * 8) as u64, 8, nnz);
-                hooks::record(rg, chunk, AccessKind::Read, TRACE_COLS + (lo * 4) as u64, 4, nnz);
-                for k in lo..hi {
-                    let at = TRACE_X + u64::from(self.cols[k]) * 8;
-                    hooks::record(rg, chunk, AccessKind::Read, at, 0, 1);
+                log.record(AccessKind::Read, TRACE_ROWPTR + (r * 8) as u64, 8, 2);
+                log.record(AccessKind::Read, TRACE_VALS + (lo * 8) as u64, 8, nnz);
+                log.record(AccessKind::Read, TRACE_COLS + (lo * 4) as u64, 4, nnz);
+                for &col in &self.cols[lo..hi] {
+                    log.record(AccessKind::Read, TRACE_X + u64::from(col) * 8, 0, 1);
                 }
-                hooks::record(rg, chunk, AccessKind::Write, TRACE_Y + (r * 8) as u64, 8, 1);
+                log.record(AccessKind::Write, TRACE_Y + (r * 8) as u64, 8, 1);
             }
         });
     }

@@ -112,15 +112,14 @@ pub fn run(m: u32, threads: usize) -> EpResult {
                 let count = chunk.min(pairs.saturating_sub(start));
                 let mut rng = base.at_offset(start * 2);
                 let part = run_range(&mut rng, count);
-                if hooks::chunk_enabled(Region::Ep, b) {
-                    let r = Region::Ep;
+                if let Some(mut log) = hooks::chunk(Region::Ep, b) {
                     // Stride-0 bursts: the same state words over and over
                     // — the register/L1 residency that makes EP the
                     // low-power pole.
-                    hooks::record(r, b, AccessKind::Read, TRACE_RNG + b * 16, 0, 64);
-                    hooks::record(r, b, AccessKind::Write, TRACE_RNG + b * 16, 0, 64);
-                    hooks::record(r, b, AccessKind::Read, TRACE_BINS, 8, 12);
-                    hooks::record(r, b, AccessKind::Write, TRACE_BINS, 8, 12);
+                    log.record(AccessKind::Read, TRACE_RNG + b * 16, 0, 64);
+                    log.record(AccessKind::Write, TRACE_RNG + b * 16, 0, 64);
+                    log.record(AccessKind::Read, TRACE_BINS, 8, 12);
+                    log.record(AccessKind::Write, TRACE_BINS, 8, 12);
                 }
                 (b, part)
             })

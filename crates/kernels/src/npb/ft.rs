@@ -189,27 +189,12 @@ fn transpose_xy_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C6
         // permutation is cache-blocked, so plane granularity is the
         // honest level). The chunk id is a pure function of (phase, z),
         // never of which worker ran the plane.
-        let chunk = (phase << 32) | z as u64;
-        if hooks::chunk_enabled(Region::Ft, chunk) {
+        if let Some(mut log) = hooks::chunk(Region::Ft, (phase << 32) | z as u64) {
             let (src_base, dst_base) = trace_bases(phase);
             let plane_bytes = (nx * ny * 16) as u32;
             let off = (z as u64) * u64::from(plane_bytes);
-            hooks::record(
-                Region::Ft,
-                chunk,
-                AccessKind::Read,
-                src_base + off,
-                16,
-                plane_bytes / 16,
-            );
-            hooks::record(
-                Region::Ft,
-                chunk,
-                AccessKind::Write,
-                dst_base + off,
-                16,
-                plane_bytes / 16,
-            );
+            log.record(AccessKind::Read, src_base + off, 16, plane_bytes / 16);
+            log.record(AccessKind::Write, dst_base + off, 16, plane_bytes / 16);
         }
         // plane[x·ny + y] = src[z·nx·ny + y·nx + x]
         transpose_tiles(src, z * nx * ny, nx, plane, 0, ny, ny, nx, |d, s| *d = s);
@@ -230,29 +215,14 @@ fn transpose_xz_into(nx: usize, ny: usize, nz: usize, src: &[C64], dst: &mut [C6
         // the reads as one large-stride descriptor per plane (a row
         // start per y; the band's rows are nx elements apart) and the
         // writes as the band's contiguous destination stream.
-        let trace_chunk = (phase << 32) | band as u64;
-        if hooks::chunk_enabled(Region::Ft, trace_chunk) {
+        if let Some(mut log) = hooks::chunk(Region::Ft, (phase << 32) | band as u64) {
             let (src_base, dst_base) = trace_bases(phase);
             for z in 0..nz {
                 let off = ((z * ny * nx + x0) * 16) as u64;
-                hooks::record(
-                    Region::Ft,
-                    trace_chunk,
-                    AccessKind::Read,
-                    src_base + off,
-                    (nx * 16) as u32,
-                    ny as u32,
-                );
+                log.record(AccessKind::Read, src_base + off, (nx * 16) as u32, ny as u32);
             }
             let off = (x0 * ny * nz * 16) as u64;
-            hooks::record(
-                Region::Ft,
-                trace_chunk,
-                AccessKind::Write,
-                dst_base + off,
-                16,
-                chunk.len() as u32,
-            );
+            log.record(AccessKind::Write, dst_base + off, 16, chunk.len() as u32);
         }
         for y in 0..ny {
             // chunk[(dx·ny + y)·nz + z] = src[z·nx·ny + y·nx + x0 + dx]

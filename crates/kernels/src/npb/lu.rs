@@ -11,7 +11,7 @@
 //! (official op counts: LU.A = 119,280 Mop ⇒ ~1820 flop/point/iter).
 
 use hpceval_machine::workload::{ComputeKind, LocalityProfile, WorkloadSignature};
-use hpceval_trace::{hooks, AccessKind, Region};
+use hpceval_trace::{hooks, AccessKind, ChunkLog, Region};
 use rayon::prelude::*;
 
 use crate::rng::NpbRng;
@@ -167,24 +167,21 @@ impl SsorProblem {
         }
     }
 
-    /// Record the memory traffic of relaxing point `i`: the 7-point
-    /// `u` stencil (one strided read per axis covering the present
-    /// neighbours), the right-hand side, and the cached diagonal
+    /// Record the memory traffic of relaxing point `i` into its log:
+    /// the 7-point `u` stencil (one strided read per axis covering the
+    /// present neighbours), the right-hand side, and the cached diagonal
     /// inverse. Reads only — the scatter loop records the write.
-    fn trace_point(&self, i: usize) {
+    fn trace_point(&self, log: &mut ChunkLog, i: usize) {
         let n = self.n;
         let (x, y, z) = (i % n, (i / n) % n, i / (n * n));
-        let ch = i as u64;
-        let dinv_at = TRACE_DINV + (i * MAT5_BYTES) as u64;
-        hooks::record(Region::Lu, ch, AccessKind::Read, dinv_at, 8, 25);
-        let b_at = TRACE_B + (i * VEC5_BYTES) as u64;
-        hooks::record(Region::Lu, ch, AccessKind::Read, b_at, 8, 5);
+        log.record(AccessKind::Read, TRACE_DINV + (i * MAT5_BYTES) as u64, 8, 25);
+        log.record(AccessKind::Read, TRACE_B + (i * VEC5_BYTES) as u64, 8, 5);
         for (coord, step) in [(x, 1), (y, n), (z, n * n)] {
             let lo = if coord > 0 { i - step } else { i };
             let hi = if coord + 1 < n { i + step } else { i };
             let count = ((hi - lo) / step + 1) as u32;
             let at = TRACE_U + (lo * VEC5_BYTES) as u64;
-            hooks::record(Region::Lu, ch, AccessKind::Read, at, (step * VEC5_BYTES) as u32, count);
+            log.record(AccessKind::Read, at, (step * VEC5_BYTES) as u32, count);
         }
     }
 
@@ -213,16 +210,16 @@ impl SsorProblem {
         {
             let u_read: &[Vec5] = u;
             val[..m].par_iter_mut().zip(&idx[..m]).for_each(|(slot, &i)| {
-                if hooks::chunk_enabled(Region::Lu, i as u64) {
-                    self.trace_point(i);
+                if let Some(mut log) = hooks::chunk(Region::Lu, i as u64) {
+                    self.trace_point(&mut log, i);
                 }
                 *slot = self.relaxed_value(u_read, b, i, omega);
             });
         }
         for (&i, v) in idx.iter().zip(&val[..m]) {
-            if hooks::chunk_enabled(Region::Lu, i as u64) {
+            if let Some(mut log) = hooks::chunk(Region::Lu, i as u64) {
                 let at = TRACE_U + (i * VEC5_BYTES) as u64;
-                hooks::record(Region::Lu, i as u64, AccessKind::Write, at, VEC5_BYTES as u32, 1);
+                log.record(AccessKind::Write, at, VEC5_BYTES as u32, 1);
             }
             u[i] = *v;
         }

@@ -14,26 +14,40 @@
 //!
 //! ## Why every chunk
 //!
-//! A session records every chunk of its region. The hot-loop cost is
-//! one region check per chunk while a session is live and a single
-//! relaxed atomic load when none is. Keeping only a subset of chunks
-//! was tried and removed: it lost the §VI R² ordering (DESIGN §14).
+//! A session records every chunk of its region. Keeping only a subset
+//! of chunks was tried and removed: it lost the §VI R² ordering
+//! (DESIGN §14).
+//!
+//! ## Chunk-scoped logs
+//!
+//! A kernel opens one [`ChunkLog`] per chunk with [`hooks::chunk`] and
+//! records that chunk's bursts into it. Opening costs one relaxed
+//! atomic load when no session is live, and one region check under the
+//! `ACTIVE` read guard when one is. Recording is a push into a buffer
+//! the thread reuses from log to log: no lock, atomic, hash or
+//! allocation per event. Dropping the log commits the buffer into the
+//! chunk's ring under a single shard lock.
 //!
 //! ## Bounded memory
 //!
-//! Each chunk log is a fixed-capacity ring (the PR-1 telemetry
+//! Each chunk's ring has a fixed capacity (the telemetry crate's ring
 //! discipline): a chunk that overflows its ring drops its *oldest*
 //! events and counts them, so a runaway kernel degrades the trace
-//! instead of eating the heap. Rings grow on demand up to that cap, so
-//! a capture's footprint follows the events it holds, not its chunk
-//! count (CG opens tens of thousands of chunks of about a dozen events).
+//! instead of eating the heap. A [`ChunkLog`]'s buffer is bounded the
+//! same way, so a committed ring holds exactly what per-event pushes
+//! would have left in it. A chunk's ring is allocated at commit to fit
+//! the events it holds, so a capture's footprint follows its events,
+//! not its chunk count (CG opens tens of thousands of chunks of about a
+//! dozen events).
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use crate::event::{
     get_uvarint, put_uvarint, zigzag_decode, zigzag_encode, AccessKind, TraceEvent,
@@ -161,7 +175,7 @@ const SHARDS: usize = 64;
 
 /// Hasher for the chunk-id keys of the per-shard logs: one
 /// [`splitmix64`] of the id. Keys are trusted small integers, so
-/// SipHash's flooding resistance buys nothing on this per-event path.
+/// SipHash's flooding resistance buys nothing on this per-chunk path.
 #[derive(Default)]
 struct ChunkIdHasher(u64);
 
@@ -230,10 +244,17 @@ impl ActiveCapture {
         (self.epoch.load(Ordering::Relaxed) << EPOCH_SHIFT) | chunk
     }
 
-    fn push(&self, full_id: u64, event: TraceEvent) {
+    /// Commit one closed [`ChunkLog`]'s events: the chunk's first log
+    /// becomes its ring as is; a later log of the same id (a second
+    /// scope in the same epoch) appends to it.
+    fn commit(&self, full_id: u64, events: TraceRing<TraceEvent>) {
         let shard = &self.shards[(full_id % SHARDS as u64) as usize];
-        let mut map = shard.lock();
-        map.entry(full_id).or_insert_with(|| TraceRing::new(CHUNK_CAPACITY)).push(event);
+        match shard.lock().entry(full_id) {
+            Entry::Vacant(slot) => {
+                slot.insert(events);
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().append(events),
+        }
     }
 }
 
@@ -245,26 +266,46 @@ static ACTIVE: RwLock<Option<Arc<ActiveCapture>>> = RwLock::new(None);
 // so concurrent tests queue instead of corrupting each other.
 static SESSION: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    // A thread's log buffer, lent to each log it opens and returned
+    // empty with its allocation kept, so recording stops reallocating
+    // once the thread has seen its largest chunk.
+    static SCRATCH: Cell<Option<TraceRing<TraceEvent>>> = const { Cell::new(None) };
+}
+
 /// Instrumentation hooks the kernel crates call. Everything here is a
 /// no-op (one relaxed atomic load) unless a [`CaptureGuard`] is live.
 pub mod hooks {
     use super::*;
 
-    /// Fast check: is any capture session live? Kernels gate their
-    /// per-chunk instrumentation block on this.
+    /// Fast check: is any capture session live? [`chunk`] and
+    /// [`begin_epoch`] return on this before touching the session.
     #[inline(always)]
     pub fn enabled() -> bool {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    /// Full check: a live session for `region`. Call once per chunk,
-    /// then emit events with [`record`]. Every chunk is recorded, so the
-    /// answer does not depend on the chunk id.
-    pub fn chunk_enabled(region: Region, _chunk: u64) -> bool {
+    /// Open the log for `chunk` of `region`: `None` unless a session for
+    /// `region` is live. Record the chunk's bursts with
+    /// [`ChunkLog::record`]; dropping the log commits them. Every chunk
+    /// is recorded, so the answer does not depend on the chunk id.
+    ///
+    /// The merged trace is width-invariant because of how kernels call
+    /// this: each chunk is processed by exactly one worker at a time,
+    /// and that worker records the chunk's bursts in program order, so
+    /// every chunk's ring holds its events in emission order however the
+    /// chunks were scheduled. A chunk id reopened in the same epoch
+    /// appends to its ring. Keep a log's scope to its chunk's own serial
+    /// work: open no other log, call no other hook and start no parallel
+    /// section while it is open. The log holds the `ACTIVE` read guard,
+    /// and a read taken while [`CaptureGuard::finish`] waits for the
+    /// write side would deadlock.
+    #[inline]
+    pub fn chunk(region: Region, chunk: u64) -> Option<ChunkLog> {
         if !enabled() {
-            return false;
+            return None;
         }
-        ACTIVE.read().as_ref().is_some_and(|c| c.region == region)
+        ChunkLog::open(region, chunk)
     }
 
     /// Mark a serial point between traced passes (kernel entry, outer
@@ -282,35 +323,50 @@ pub mod hooks {
             }
         }
     }
+}
 
-    /// Record one access burst for `chunk`. The region is re-checked,
-    /// so calling without [`chunk_enabled`] is safe, just slower.
-    ///
-    /// The merged trace is width-invariant because of how kernels call
-    /// this: each chunk is processed by exactly one worker at a time,
-    /// and that worker emits the chunk's bursts in program order, so
-    /// every chunk's log holds its events in emission order however the
-    /// chunks were scheduled. The session is borrowed under the
-    /// `ACTIVE` read guard for the whole push, so
-    /// [`CaptureGuard::finish`], which takes the write side before it
-    /// drains the logs, never misses a burst still in flight.
-    pub fn record(
-        region: Region,
-        chunk: u64,
-        kind: AccessKind,
-        base: u64,
-        stride: u32,
-        count: u32,
-    ) {
-        if !enabled() || count == 0 {
-            return;
-        }
+/// One chunk's open event log, from [`hooks::chunk`]. Recording touches
+/// only the log's bounded buffer, which its thread lends it; dropping
+/// the log copies the buffer into the chunk's ring under one shard lock
+/// and hands it back. The log borrows the session under the `ACTIVE`
+/// read guard for its whole life, so [`CaptureGuard::finish`], which
+/// takes the write side before it drains the rings, waits for every
+/// open log and never misses a burst.
+pub struct ChunkLog {
+    active: RwLockReadGuard<'static, Option<Arc<ActiveCapture>>>,
+    /// Stored chunk id, epoch included, read once at open.
+    id: u64,
+    events: TraceRing<TraceEvent>,
+}
+
+impl ChunkLog {
+    /// The slow half of [`hooks::chunk`], past the idle check.
+    fn open(region: Region, chunk: u64) -> Option<Self> {
         let active = ACTIVE.read();
-        let Some(c) = active.as_deref() else { return };
-        if c.region != region {
-            return;
+        let id = active.as_deref().filter(|c| c.region == region)?.full_id(chunk);
+        let events = SCRATCH.take().unwrap_or_else(|| TraceRing::new(CHUNK_CAPACITY));
+        Some(ChunkLog { active, id, events })
+    }
+
+    /// Record one access burst. Empty bursts (`count == 0`) are skipped.
+    #[inline]
+    pub fn record(&mut self, kind: AccessKind, base: u64, stride: u32, count: u32) {
+        if count != 0 {
+            self.events.push(TraceEvent { kind, base, stride, count });
         }
-        c.push(c.full_id(chunk), TraceEvent { kind, base, stride, count });
+    }
+}
+
+impl Drop for ChunkLog {
+    fn drop(&mut self) {
+        // A log that recorded nothing leaves no chunk behind, as a chunk
+        // that never pushed an event did before.
+        if !self.events.is_empty() {
+            if let Some(c) = self.active.as_deref() {
+                c.commit(self.id, self.events.take_exact());
+            }
+        }
+        SCRATCH.set(Some(std::mem::replace(&mut self.events, TraceRing::new(0))));
     }
 }
 
@@ -347,8 +403,8 @@ impl CaptureGuard {
     pub fn finish(self) -> Trace {
         ENABLED.store(false, Ordering::Release);
         *ACTIVE.write() = None;
-        // Hooks push under the read guard, so once the write lock has
-        // been taken no push is in flight or can start; drain the logs.
+        // Open chunk logs hold the read guard, so once the write lock has
+        // been taken every log has committed and none can open; drain.
         let mut chunks: Vec<ChunkTrace> = Vec::new();
         let mut dropped = 0u64;
         for shard in &self.capture.shards {
@@ -553,20 +609,28 @@ impl Trace {
 mod tests {
     use super::*;
 
+    /// The hooks are process-global, so a test that asserts on them
+    /// while another test's session is live would race; every test that
+    /// starts a session or checks hook state holds this.
+    fn serial() -> MutexGuard<'static, ()> {
+        static TESTS: Mutex<()> = Mutex::new(());
+        TESTS.lock()
+    }
+
     fn capture_eight_chunks() -> Trace {
         let guard =
             CaptureGuard::start(Region::Stream, CaptureConfig::default()).expect("default is Full");
         for chunk in 0..8u64 {
-            if hooks::chunk_enabled(Region::Stream, chunk) {
-                hooks::record(Region::Stream, chunk, AccessKind::Read, chunk * 4096, 8, 64);
-                hooks::record(Region::Stream, chunk, AccessKind::Write, chunk * 4096 + 1024, 8, 64);
-            }
+            let mut log = hooks::chunk(Region::Stream, chunk).expect("session is live");
+            log.record(AccessKind::Read, chunk * 4096, 8, 64);
+            log.record(AccessKind::Write, chunk * 4096 + 1024, 8, 64);
         }
         guard.finish()
     }
 
     #[test]
     fn off_mode_yields_no_session() {
+        let _serial = serial();
         assert!(CaptureGuard::start(
             Region::Dgemm,
             CaptureConfig { mode: TraceMode::Off, ..CaptureConfig::default() }
@@ -577,6 +641,7 @@ mod tests {
 
     #[test]
     fn full_mode_keeps_every_chunk() {
+        let _serial = serial();
         let t = capture_eight_chunks();
         assert_eq!(t.chunks.len(), 8);
         assert_eq!(t.total_events(), 16);
@@ -587,16 +652,21 @@ mod tests {
 
     #[test]
     fn hooks_ignore_other_regions() {
+        let _serial = serial();
+        assert!(hooks::chunk(Region::Cg, 0).is_none(), "no session, no log");
         let guard = CaptureGuard::start(Region::Cg, CaptureConfig::default()).unwrap();
-        hooks::record(Region::Mg, 0, AccessKind::Read, 0, 8, 4);
-        assert!(!hooks::chunk_enabled(Region::Mg, 0));
-        assert!(hooks::chunk_enabled(Region::Cg, 0));
+        assert!(hooks::chunk(Region::Mg, 0).is_none());
+        hooks::chunk(Region::Cg, 0)
+            .expect("live region")
+            .record(AccessKind::Read, 0, 8, 0);
         let t = guard.finish();
-        assert_eq!(t.total_events(), 0);
+        assert_eq!(t.total_events(), 0, "an empty burst records nothing");
+        assert!(t.chunks.is_empty(), "a log that recorded nothing leaves no chunk");
     }
 
     #[test]
     fn hooks_disabled_after_finish_and_after_drop() {
+        let _serial = serial();
         let g = CaptureGuard::start(Region::Is, CaptureConfig::default()).unwrap();
         assert!(hooks::enabled());
         let _ = g.finish();
@@ -606,27 +676,108 @@ mod tests {
         assert!(hooks::enabled());
         drop(g); // early drop, no finish
         assert!(!hooks::enabled());
-        hooks::record(Region::Is, 0, AccessKind::Read, 0, 8, 4); // must not panic
+        assert!(hooks::chunk(Region::Is, 0).is_none());
+    }
+
+    /// Capture `scopes` logs on RandomAccess chunk 0, one after another,
+    /// the `i`-th recording `scopes[i]` single-line bursts with bases
+    /// numbered on from the previous scope's.
+    fn capture_scopes(scopes: &[u64]) -> Trace {
+        let guard = CaptureGuard::start(Region::RandomAccess, CaptureConfig::default()).unwrap();
+        let mut i = 0u64;
+        for &n in scopes {
+            let mut log = hooks::chunk(Region::RandomAccess, 0).unwrap();
+            for _ in 0..n {
+                log.record(AccessKind::Read, i * 64, 0, 1);
+                i += 1;
+            }
+        }
+        guard.finish()
     }
 
     #[test]
     fn chunk_ring_drops_oldest_and_counts() {
-        let guard = CaptureGuard::start(Region::RandomAccess, CaptureConfig::default()).unwrap();
-        let total = CHUNK_CAPACITY as u64 + 6;
-        for i in 0..total {
-            hooks::record(Region::RandomAccess, 0, AccessKind::Read, i * 64, 0, 1);
+        let _serial = serial();
+        let cap = CHUNK_CAPACITY as u64;
+        let total = cap + 6;
+        // Overflow inside one log, and across two logs of one chunk id
+        // with either log overflowing or neither alone doing so.
+        for scopes in [vec![total], vec![6, cap], vec![cap + 3, 3], vec![cap / 2, cap / 2 + 6]] {
+            let t = capture_scopes(&scopes);
+            assert_eq!(t.dropped, 6, "{scopes:?}");
+            assert_eq!(t.chunks.len(), 1);
+            let events = &t.chunks[0].events;
+            assert_eq!(events.len(), CHUNK_CAPACITY);
+            // The newest events survive, in order.
+            assert!(
+                events.iter().zip(6..).all(|(e, i)| e.base == i * 64),
+                "{scopes:?}: newest events out of order"
+            );
+        }
+    }
+
+    #[test]
+    fn reopened_chunk_keeps_emission_order() {
+        let _serial = serial();
+        // SP's and BT's pattern: a read scope in the parallel solve, then
+        // a serial write-back scope on the same chunk id in one epoch.
+        let guard = CaptureGuard::start(Region::Sp, CaptureConfig::default()).unwrap();
+        hooks::begin_epoch(Region::Sp);
+        for line in 0..3u64 {
+            let mut log = hooks::chunk(Region::Sp, line).unwrap();
+            log.record(AccessKind::Read, line * 1000, 8, 5);
+            log.record(AccessKind::Read, line * 1000 + 100, 8, 5);
+        }
+        for line in 0..3u64 {
+            hooks::chunk(Region::Sp, line)
+                .unwrap()
+                .record(AccessKind::Write, line * 1000, 8, 5);
         }
         let t = guard.finish();
-        assert_eq!(t.dropped, 6);
-        let events = &t.chunks[0].events;
-        assert_eq!(events.len(), CHUNK_CAPACITY);
-        // The newest events survive, in order.
-        assert_eq!(events[0].base, 6 * 64);
-        assert_eq!(events[CHUNK_CAPACITY - 1].base, (total - 1) * 64);
+        assert_eq!(t.chunks.len(), 3);
+        for (line, chunk) in (0..3u64).zip(&t.chunks) {
+            assert_eq!(chunk.id, (1 << EPOCH_SHIFT) | line);
+            let got: Vec<_> = chunk.events.iter().map(|e| (e.kind, e.base)).collect();
+            let base = line * 1000;
+            assert_eq!(
+                got,
+                [
+                    (AccessKind::Read, base),
+                    (AccessKind::Read, base + 100),
+                    (AccessKind::Write, base)
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn finish_waits_for_a_log_open_on_another_thread() {
+        let _serial = serial();
+        let guard = CaptureGuard::start(Region::Lu, CaptureConfig::default()).unwrap();
+        let (opened, wait_opened) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut log = hooks::chunk(Region::Lu, 7).unwrap();
+            log.record(AccessKind::Read, 0, 8, 1);
+            opened.send(()).unwrap();
+            // `finish` clears the fast-path flag before it waits for the
+            // write side; record more once it has begun.
+            while hooks::enabled() {
+                std::thread::yield_now();
+            }
+            log.record(AccessKind::Write, 64, 8, 1);
+        });
+        wait_opened.recv().unwrap();
+        let t = guard.finish();
+        worker.join().unwrap();
+        assert_eq!(t.chunks.len(), 1);
+        assert_eq!(t.chunks[0].id, 7);
+        let kinds: Vec<_> = t.chunks[0].events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [AccessKind::Read, AccessKind::Write]);
     }
 
     #[test]
     fn encode_decode_round_trips() {
+        let _serial = serial();
         let t = capture_eight_chunks();
         let bytes = t.encode();
         let back = Trace::decode(&bytes).expect("round trip");
@@ -637,6 +788,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
+        let _serial = serial();
         assert_eq!(Trace::decode(b"HP"), Err(DecodeError::Truncated));
         assert_eq!(Trace::decode(b"NOPE\x01\x01\x01"), Err(DecodeError::BadMagic));
         let t = capture_eight_chunks();

@@ -8,15 +8,16 @@
 //! ```
 //!
 //! * [`capture`] — global, near-zero-cost instrumentation hooks the
-//!   kernel crates call from their chunked hot loops; per-chunk bounded
-//!   event rings merged into a [`capture::Trace`] in width-invariant
-//!   order; a compact delta/varint wire format,
+//!   kernel crates call from their chunked hot loops; per-chunk logs
+//!   committed into bounded event rings and merged into a
+//!   [`capture::Trace`] in width-invariant order; a compact
+//!   delta/varint wire format,
 //! * [`event`] — block-descriptor events (base/stride/count over
 //!   *logical* addresses) and the varint/zigzag primitives,
 //! * [`replay`] — drives a trace through the `hpceval-machine`
 //!   write-back hierarchy (victim cache and way prediction optional)
 //!   and bridges the resulting counters back into locality profiles,
-//! * [`ring`] — the bounded ring the per-chunk logs use.
+//! * [`ring`] — the bounded ring the per-chunk logs and rings use.
 //!
 //! This crate sits *below* `hpceval-kernels` in the dependency graph
 //! (kernels call the hooks), which is why it cannot reuse the telemetry
@@ -31,8 +32,8 @@ pub mod replay;
 pub mod ring;
 
 pub use capture::{
-    hooks, splitmix64, CaptureConfig, CaptureGuard, ChunkTrace, DecodeError, Region, Trace,
-    TraceMode,
+    hooks, splitmix64, CaptureConfig, CaptureGuard, ChunkLog, ChunkTrace, DecodeError, Region,
+    Trace, TraceMode,
 };
 pub use event::{AccessKind, TraceEvent};
 pub use replay::{replay, ReplayOptions, TraceCounters};

@@ -37,6 +37,33 @@ impl<T> TraceRing<T> {
         evicted
     }
 
+    /// Push every item of `other`, oldest first, and add its evictions
+    /// to this ring's. When `other`'s capacity is at most this ring's,
+    /// the result is what pushing `other`'s whole history here would
+    /// have left, evictions included.
+    pub fn append(&mut self, other: TraceRing<T>) {
+        self.evicted += other.evicted;
+        for item in other.buf {
+            self.push(item);
+        }
+    }
+
+    /// Move the stored items and the eviction count into a new ring
+    /// with the same capacity, allocated to fit exactly what is stored.
+    /// This ring is left empty, keeping its allocation for reuse.
+    pub fn take_exact(&mut self) -> TraceRing<T>
+    where
+        T: Copy,
+    {
+        let (front, back) = self.buf.as_slices();
+        let mut items = Vec::with_capacity(front.len() + back.len());
+        items.extend_from_slice(front);
+        items.extend_from_slice(back);
+        self.buf.clear();
+        let evicted = std::mem::take(&mut self.evicted);
+        TraceRing { buf: VecDeque::from(items), capacity: self.capacity, evicted }
+    }
+
     /// Items currently stored.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -102,6 +129,40 @@ mod tests {
         assert_eq!((r.len(), r.capacity(), r.evicted()), (4096, 4096, 2));
         assert_eq!(r.iter().next(), Some(&2));
         assert_eq!(r.into_vec(), (2..4098).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn append_matches_pushing_the_whole_history() {
+        for (first, second) in [(2, 9), (5, 1), (0, 7), (6, 0)] {
+            let mut pushed = TraceRing::new(4);
+            let mut appended = TraceRing::new(4);
+            let mut other = TraceRing::new(4);
+            for i in 0..first {
+                pushed.push(i);
+                appended.push(i);
+            }
+            for i in first..first + second {
+                pushed.push(i);
+                other.push(i);
+            }
+            appended.append(other);
+            assert_eq!(appended.evicted(), pushed.evicted(), "{first}+{second}");
+            assert_eq!(appended.into_vec(), pushed.into_vec(), "{first}+{second}");
+        }
+    }
+
+    #[test]
+    fn take_exact_moves_items_and_evictions() {
+        let mut r = TraceRing::new(3);
+        for i in 0..5 {
+            r.push(i);
+        }
+        let taken = r.take_exact();
+        assert_eq!((r.len(), r.evicted()), (0, 0));
+        assert_eq!((taken.capacity(), taken.evicted()), (3, 2));
+        assert_eq!(taken.into_vec(), vec![2, 3, 4]);
+        r.push(7);
+        assert_eq!(r.into_vec(), vec![7]);
     }
 
     #[test]
