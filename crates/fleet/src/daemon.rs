@@ -135,7 +135,6 @@ pub struct Fleet {
     registry: Mutex<Registry>,
     injector: FaultInjector,
     events: Mutex<Vec<FleetEvent>>,
-    telemetry: Mutex<Vec<TelemetryEvent>>,
     pool: ThreadPool,
     shutdown: AtomicBool,
 }
@@ -163,7 +162,6 @@ impl Fleet {
             registry: Mutex::new(registry),
             injector,
             events: Mutex::new(Vec::new()),
-            telemetry: Mutex::new(Vec::new()),
             pool,
             shutdown: AtomicBool::new(false),
         };
@@ -357,7 +355,7 @@ impl Fleet {
 
     /// The telemetry-bridged view of the event stream.
     pub fn telemetry_events(&self) -> Vec<TelemetryEvent> {
-        self.telemetry.lock().clone()
+        self.events.lock().iter().filter_map(FleetEvent::to_telemetry).collect()
     }
 
     /// Rank the servers the fleet could finish evaluating, best mean
@@ -653,9 +651,6 @@ impl Fleet {
     }
 
     fn push_event(&self, event: FleetEvent) {
-        if let Some(t) = event.to_telemetry() {
-            self.telemetry.lock().push(t);
-        }
         self.events.lock().push(event);
     }
 

@@ -39,7 +39,6 @@ pub mod hpl;
 pub mod npb;
 pub mod rng;
 pub mod simd;
-pub mod streams;
 pub mod suite;
 pub mod tile;
 pub mod transpose;

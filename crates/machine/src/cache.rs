@@ -5,33 +5,23 @@
 //! PMU hardware in the paper; here they are produced by replaying each
 //! workload's address trace through this simulator (or, for the analytic
 //! fast path, by the closed-form locality profiles in [`crate::workload`],
-//! which are validated against this simulator in tests).
+//! which tests check against replays of the captured kernel traces).
 //!
-//! The model is a write-allocate, write-back, set-associative hierarchy
-//! with per-set replacement stamps. Beyond the classic LRU core it
-//! implements the three refinements of the exemplar cache-lab simulator
-//! (see SNIPPETS.md):
-//!
-//! * an optional fully-associative LRU **victim cache** whose hits count
-//!   toward the attached level's hit rate,
-//! * **MRU way prediction** (per-set most-recently-used way, first-hit vs
-//!   non-first-hit statistics), and
-//! * **multi-column way prediction** (per-set columns selected by a tag
-//!   hash, each holding a bit-vector of candidate ways; statistics track
-//!   the average number of candidate ways probed).
-//!
-//! Dirty-line accounting makes DRAM reads (line fills) and DRAM writes
-//! (dirty write-backs) separately countable, which is exactly the split
-//! the paper's X5/X6 indicators need. There is deliberately no coherence
-//! and no prefetching: the regression only needs hit/miss structure that
-//! orders workloads correctly (dense-blocked ≫ streaming ≫ random).
+//! The model is one write-allocate, write-back, set-associative LRU cache
+//! per level, with per-set replacement stamps (the classic core of the
+//! exemplar cache-lab simulator, see SNIPPETS.md). Dirty-line accounting
+//! makes DRAM reads (line fills) and DRAM writes (dirty write-backs)
+//! separately countable, which is exactly the split the paper's X5/X6
+//! indicators need. There is deliberately no coherence and no
+//! prefetching: the regression only needs hit/miss structure that orders
+//! workloads correctly (dense-blocked ≫ streaming ≫ random).
 
 use crate::spec::{CacheLevel, ServerSpec};
 
 /// Result of pushing one address through a [`CacheHierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
-    /// Served by the L1 data cache (including its victim cache, if any).
+    /// Served by the L1 data cache.
     L1Hit,
     /// Missed L1, served by L2.
     L2Hit,
@@ -41,76 +31,13 @@ pub enum AccessOutcome {
     Memory,
 }
 
-/// Replacement policy of a [`CacheSim`] set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Least-recently-used (the default; what the hit-rate model and the
-    /// locality profiles assume).
-    #[default]
-    Lru,
-    /// First-in-first-out: insertion order, ignoring reuse.
-    Fifo,
-    /// Pseudo-random victim selection (an xorshift stream), the cheap
-    /// hardware fallback.
-    Random,
-}
-
-/// Way-prediction scheme of a [`CacheSim`] (statistics only — prediction
-/// does not change hit/miss behaviour, it models lookup latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WayPrediction {
-    /// No predictor.
-    #[default]
-    None,
-    /// Predict the per-set most-recently-used way.
-    Mru,
-    /// Per-set columns indexed by a tag hash, each holding a bit-vector
-    /// of candidate ways.
-    MultiColumn,
-}
-
-/// Way-prediction outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictionStats {
-    /// Hits served by the first predicted way.
-    pub first_hits: u64,
-    /// Hits the predictor did not resolve on its first probe.
-    pub non_first_hits: u64,
-    /// Total candidate ways probed across all hits.
-    pub probed_ways: u64,
-}
-
-impl PredictionStats {
-    /// Mean ways probed per hit (1.0 = perfect prediction).
-    pub fn avg_probes(&self) -> f64 {
-        let hits = self.first_hits + self.non_first_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.probed_ways as f64 / hits as f64
-        }
-    }
-
-    /// Fraction of hits resolved on the first probe.
-    pub fn first_hit_ratio(&self) -> f64 {
-        let hits = self.first_hits + self.non_first_hits;
-        if hits == 0 {
-            0.0
-        } else {
-            self.first_hits as f64 / hits as f64
-        }
-    }
-}
-
 /// Result of one [`CacheSim::touch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
-    /// Served by this cache (or its victim cache).
+    /// Served by this cache.
     pub hit: bool,
-    /// Served specifically by the victim cache.
-    pub victim_hit: bool,
     /// Line address (byte address of the line start) of a dirty line
-    /// this access pushed out of the cache+victim pair, if any.
+    /// this access evicted, if any.
     pub writeback: Option<u64>,
 }
 
@@ -120,89 +47,35 @@ struct Slot {
     tag: u64,
     valid: bool,
     dirty: bool,
-    /// Replacement stamp: updated on every touch under LRU, only on
-    /// fill under FIFO. Victim selection evicts the minimum stamp.
+    /// Replacement stamp, refreshed on every touch. Victim selection
+    /// evicts the minimum stamp.
     stamp: u64,
 }
 
 /// What a missed lookup learned about its set: the first invalid way,
 /// and the first way holding the minimum stamp among the valid ones
-/// (the LRU/FIFO victim once the set is full).
+/// (the LRU victim once the set is full).
 #[derive(Debug, Clone, Copy)]
 struct SetScan {
     invalid: Option<usize>,
     oldest: usize,
 }
 
-/// Fully-associative LRU victim buffer attached to a [`CacheSim`].
-#[derive(Debug, Clone)]
-struct VictimCache {
-    capacity: usize,
-    /// `(line_number, dirty, stamp)`.
-    lines: Vec<(u64, bool, u64)>,
-    hits: u64,
-}
-
-impl VictimCache {
-    fn new(capacity: usize) -> Self {
-        Self { capacity, lines: Vec::with_capacity(capacity), hits: 0 }
-    }
-
-    /// Remove `line` if present, returning its dirty bit.
-    fn take(&mut self, line: u64) -> Option<bool> {
-        let pos = self.lines.iter().position(|&(l, _, _)| l == line)?;
-        self.hits += 1;
-        Some(self.lines.swap_remove(pos).1)
-    }
-
-    /// Insert an evicted line; returns the line this pushed out of the
-    /// buffer (with its dirty bit), if the buffer was full.
-    fn insert(&mut self, line: u64, dirty: bool, stamp: u64) -> Option<(u64, bool)> {
-        let evicted = if self.lines.len() == self.capacity {
-            let lru = self
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(_, _, s))| s)
-                .map(|(i, _)| i)
-                .expect("full victim cache has a minimum stamp");
-            Some(self.lines.swap_remove(lru)).map(|(l, d, _)| (l, d))
-        } else {
-            None
-        };
-        self.lines.push((line, dirty, stamp));
-        evicted
-    }
-}
-
-/// One set-associative cache with configurable replacement policy,
-/// optional victim cache and optional way prediction.
+/// One set-associative LRU write-back cache.
 ///
 /// Lines live in fixed slots (per the exemplar simulator's per-set LRU
-/// timestamps): a hit refreshes the slot's stamp (LRU only) and a fill
-/// evicts the slot with the minimum stamp. Fixed slots are what give
-/// the way predictors a stable notion of "way".
+/// timestamps): a hit refreshes the slot's stamp and a fill evicts the
+/// slot with the minimum stamp.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     line_shift: u32,
     sets: u64,
     ways: usize,
-    policy: ReplacementPolicy,
-    prediction: WayPrediction,
-    rng_state: u64,
     clock: u64,
     /// `sets × ways` fixed slot store.
     slots: Vec<Slot>,
-    /// Per-set MRU slot index (allocated iff prediction == Mru).
-    mru: Vec<u32>,
-    /// Per-set × per-column candidate-way bit-vectors (allocated iff
-    /// prediction == MultiColumn). Column count equals the way count.
-    columns: Vec<u64>,
-    victim: Option<VictimCache>,
     hits: u64,
     misses: u64,
-    victim_hits_total: u64,
-    pred_stats: PredictionStats,
 }
 
 impl CacheSim {
@@ -224,62 +97,11 @@ impl CacheSim {
             line_shift: level.line_bytes.trailing_zeros(),
             sets: u64::from(sets),
             ways: level.ways as usize,
-            policy: ReplacementPolicy::Lru,
-            prediction: WayPrediction::None,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
             clock: 0,
             slots: vec![Slot::default(); sets as usize * level.ways as usize],
-            mru: Vec::new(),
-            columns: Vec::new(),
-            victim: None,
             hits: 0,
             misses: 0,
-            victim_hits_total: 0,
-            pred_stats: PredictionStats::default(),
         }
-    }
-
-    /// Select a replacement policy (builder style).
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Attach a fully-associative LRU victim cache of `entries` lines
-    /// (builder style; 0 detaches).
-    pub fn with_victim(mut self, entries: usize) -> Self {
-        self.victim = (entries > 0).then(|| VictimCache::new(entries));
-        self
-    }
-
-    /// Select a way-prediction scheme (builder style).
-    pub fn with_prediction(mut self, prediction: WayPrediction) -> Self {
-        self.prediction = prediction;
-        match prediction {
-            WayPrediction::None => {
-                self.mru.clear();
-                self.columns.clear();
-            }
-            WayPrediction::Mru => {
-                self.mru = vec![0; self.sets as usize];
-                self.columns.clear();
-            }
-            WayPrediction::MultiColumn => {
-                self.mru.clear();
-                self.columns = vec![0; self.sets as usize * self.ways];
-            }
-        }
-        self
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// The way-prediction scheme in use.
-    pub fn prediction(&self) -> WayPrediction {
-        self.prediction
     }
 
     /// Line size in bytes.
@@ -287,99 +109,9 @@ impl CacheSim {
         1 << self.line_shift
     }
 
-    /// The exemplar's tag→column hash (any deterministic mixer works;
-    /// this is splitmix64's finalizer).
-    #[inline]
-    fn column_of(&self, tag: u64) -> usize {
-        let mut z = tag.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize % self.ways
-    }
-
-    /// Record way-prediction statistics for `n` consecutive hits at slot
-    /// `way` of `set`, then update the predictor state. Only the first
-    /// of them can miss the MRU guess (it leaves the guess on `way`), and
-    /// hits never change the multi-column candidate bits, so the `n`
-    /// hits score as the first one followed by `n − 1` repeats of it.
-    fn note_predicted_hits(&mut self, set: usize, way: usize, tag: u64, n: u64) {
-        match self.prediction {
-            WayPrediction::None => {}
-            WayPrediction::Mru => {
-                let mut first = n;
-                if self.mru[set] as usize != way {
-                    // The MRU probe failed, then the scan found the way.
-                    self.pred_stats.non_first_hits += 1;
-                    self.pred_stats.probed_ways += 2;
-                    first -= 1;
-                }
-                self.pred_stats.first_hits += first;
-                self.pred_stats.probed_ways += first;
-                self.mru[set] = way as u32;
-            }
-            WayPrediction::MultiColumn => {
-                let bits = self.columns[set * self.ways + self.column_of(tag)];
-                let (probes, first) = if bits & (1 << way) != 0 {
-                    // Probe candidate ways in ascending order until `way`.
-                    let probes = (bits & ((1u64 << way) - 1)).count_ones() as u64 + 1;
-                    (probes, probes == 1)
-                } else {
-                    // No candidate bit: the predictor gave up and the
-                    // full scan served the hit.
-                    (bits.count_ones() as u64 + 1, false)
-                };
-                self.pred_stats.probed_ways += probes * n;
-                if first {
-                    self.pred_stats.first_hits += n;
-                } else {
-                    self.pred_stats.non_first_hits += n;
-                }
-            }
-        }
-    }
-
-    /// Update predictor state for a fill of `tag` into slot `way`.
-    fn note_fill(&mut self, set: usize, way: usize, tag: u64) {
-        match self.prediction {
-            WayPrediction::None => {}
-            WayPrediction::Mru => self.mru[set] = way as u32,
-            WayPrediction::MultiColumn => {
-                // Way `way` now holds `tag`: set its bit in tag's column
-                // and clear it everywhere else in the set.
-                let base = set * self.ways;
-                let col = self.column_of(tag);
-                for c in 0..self.ways {
-                    self.columns[base + c] &= !(1u64 << way);
-                }
-                self.columns[base + col] |= 1 << way;
-            }
-        }
-    }
-
-    /// Pick the victim slot index (within the set) for a fill, given
-    /// the set's scan: its first invalid way and its first way with the
-    /// minimum stamp.
-    fn victim_way(&mut self, scan: SetScan) -> usize {
-        // Prefer an invalid slot.
-        if let Some(w) = scan.invalid {
-            return w;
-        }
-        match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => scan.oldest,
-            ReplacementPolicy::Random => {
-                let mut x = self.rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.rng_state = x;
-                (x % self.ways as u64) as usize
-            }
-        }
-    }
-
     /// Access a byte address; `write` marks the line dirty. Misses
     /// allocate (write-allocate). Returns the full [`Access`] outcome
-    /// including any dirty line pushed out of the cache+victim pair.
+    /// including any dirty line the fill evicted.
     pub fn touch(&mut self, addr: u64, write: bool) -> Access {
         self.touch_run(addr, write, 1)
     }
@@ -387,12 +119,11 @@ impl CacheSim {
     /// `count` (≥ 1) consecutive accesses to `addr`'s line, with the
     /// same end state as `count` calls of [`Self::touch`] on addresses
     /// of that line. The first access takes the full path and leaves the
-    /// line resident in its set (a victim-cache hit moves it back in), so
-    /// the other `count − 1` are hits on that slot and are credited at
-    /// once: hits and the clock advance by `count − 1`, an LRU stamp
-    /// takes the final clock, `write` dirties the line and the predictor
-    /// scores them as repeated hits. Returns the first access's outcome;
-    /// the repeats write nothing back.
+    /// line resident in its set, so the other `count − 1` are hits on
+    /// that slot and are credited at once: hits and the clock advance by
+    /// `count − 1`, the stamp takes the final clock and `write` dirties
+    /// the line. Returns the first access's outcome; the repeats write
+    /// nothing back.
     pub fn touch_run(&mut self, addr: u64, write: bool, count: u64) -> Access {
         assert!(count > 0, "a run has at least one access");
         let line = addr >> self.line_shift;
@@ -401,22 +132,19 @@ impl CacheSim {
         let base = set * self.ways;
 
         let (way, access, repeats) = match self.scan(base, tag) {
-            Ok(way) => (way, Access { hit: true, victim_hit: false, writeback: None }, count),
+            Ok(way) => (way, Access { hit: true, writeback: None }, count),
             Err(scan) => {
                 self.clock += 1;
-                let (way, access) = self.fill(line, set, tag, write, scan);
+                let (way, access) = self.fill(set, tag, write, scan);
                 (way, access, count - 1)
             }
         };
         if repeats > 0 {
             self.clock += repeats;
             let slot = &mut self.slots[base + way];
-            if self.policy == ReplacementPolicy::Lru {
-                slot.stamp = self.clock;
-            }
+            slot.stamp = self.clock;
             slot.dirty |= write;
             self.hits += repeats;
-            self.note_predicted_hits(set, way, tag, repeats);
         }
         access
     }
@@ -440,58 +168,17 @@ impl CacheSim {
         Err(scan)
     }
 
-    /// Serve a miss in `set` at the current clock: take the line from
-    /// the victim buffer if it is there, else count a miss; either way
-    /// fill it into the set. Returns the filled way and the outcome.
-    fn fill(
-        &mut self,
-        line: u64,
-        set: usize,
-        tag: u64,
-        write: bool,
-        scan: SetScan,
-    ) -> (usize, Access) {
-        let clock = self.clock;
-        let base = set * self.ways;
-        // The victim buffer may still hold the line.
-        let (victim_hit, mut dirty) = match self.victim.as_mut().and_then(|v| v.take(line)) {
-            Some(was_dirty) => (true, was_dirty || write),
-            None => (false, write),
-        };
-        if victim_hit {
-            self.hits += 1;
-            self.victim_hits_total += 1;
-        } else {
-            self.misses += 1;
-        }
-        // In either case the line is (re)filled into the set.
-        let way = self.victim_way(scan);
-        let slot = self.slots[base + way];
-        let mut writeback = None;
-        if slot.valid {
-            let evicted_line = slot.tag * self.sets + set as u64;
-            match &mut self.victim {
-                Some(v) => {
-                    if let Some((wline, wdirty)) = v.insert(evicted_line, slot.dirty, clock) {
-                        if wdirty {
-                            writeback = Some(wline << self.line_shift);
-                        }
-                    }
-                }
-                None => {
-                    if slot.dirty {
-                        writeback = Some(evicted_line << self.line_shift);
-                    }
-                }
-            }
-        }
-        if victim_hit {
-            // Victim hits keep their accumulated dirty state.
-            dirty = dirty || write;
-        }
-        self.slots[base + way] = Slot { tag, valid: true, dirty, stamp: clock };
-        self.note_fill(set, way, tag);
-        (way, Access { hit: victim_hit, victim_hit, writeback })
+    /// Serve a miss in `set` at the current clock: fill the line into
+    /// the first invalid way, else over the least-recently-used one.
+    /// Returns the filled way and the outcome.
+    fn fill(&mut self, set: usize, tag: u64, write: bool, scan: SetScan) -> (usize, Access) {
+        self.misses += 1;
+        let way = scan.invalid.unwrap_or(scan.oldest);
+        let slot = &mut self.slots[set * self.ways + way];
+        let writeback = (slot.valid && slot.dirty)
+            .then(|| (slot.tag * self.sets + set as u64) << self.line_shift);
+        *slot = Slot { tag, valid: true, dirty: write, stamp: self.clock };
+        (way, Access { hit: false, writeback })
     }
 
     /// Access a byte address as a read; returns `true` on hit.
@@ -500,45 +187,25 @@ impl CacheSim {
         self.touch(addr, false).hit
     }
 
-    /// Whether `addr`'s line is present (cache or victim), without
-    /// touching any replacement or statistics state.
-    pub fn contains(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let base = set * self.ways;
-        (0..self.ways).any(|w| self.slots[base + w].valid && self.slots[base + w].tag == tag)
-            || self.victim.as_ref().is_some_and(|v| v.lines.iter().any(|&(l, _, _)| l == line))
-    }
-
-    /// Mark `addr`'s line dirty if present (cache or victim) without
-    /// counting an access; returns `true` when absorbed. This is how a
-    /// lower level receives a write-back from the level above.
+    /// Mark `addr`'s line dirty if present without counting an access;
+    /// returns `true` when absorbed. This is how a lower level receives
+    /// a write-back from the level above.
     pub fn absorb_writeback(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let set = (line % self.sets) as usize;
         let tag = line / self.sets;
         let base = set * self.ways;
-        for w in 0..self.ways {
-            let slot = &mut self.slots[base + w];
-            if slot.valid && slot.tag == tag {
+        match self.slots[base..base + self.ways].iter_mut().find(|s| s.valid && s.tag == tag) {
+            Some(slot) => {
                 slot.dirty = true;
-                return true;
+                true
             }
+            None => false,
         }
-        if let Some(v) = &mut self.victim {
-            for entry in &mut v.lines {
-                if entry.0 == line {
-                    entry.1 = true;
-                    return true;
-                }
-            }
-        }
-        false
     }
 
-    /// Drain every dirty line (cache and victim), returning their byte
-    /// addresses in ascending order and clearing the dirty bits.
+    /// Drain every dirty line, returning their byte addresses in
+    /// ascending order and clearing the dirty bits.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -548,19 +215,11 @@ impl CacheSim {
                 slot.dirty = false;
             }
         }
-        if let Some(v) = &mut self.victim {
-            for entry in &mut v.lines {
-                if entry.1 {
-                    out.push(entry.0 << self.line_shift);
-                    entry.1 = false;
-                }
-            }
-        }
         out.sort_unstable();
         out
     }
 
-    /// Hits observed so far (victim hits included).
+    /// Hits observed so far.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -568,16 +227,6 @@ impl CacheSim {
     /// Misses observed so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Hits served by the victim cache.
-    pub fn victim_hits(&self) -> u64 {
-        self.victim_hits_total
-    }
-
-    /// Way-prediction statistics (zeros when prediction is off).
-    pub fn prediction_stats(&self) -> PredictionStats {
-        self.pred_stats
     }
 
     /// Hit ratio over all accesses so far (0 if none).
@@ -589,24 +238,6 @@ impl CacheSim {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Forget all cached lines and statistics.
-    pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            *slot = Slot::default();
-        }
-        if let Some(v) = &mut self.victim {
-            v.lines.clear();
-            v.hits = 0;
-        }
-        self.mru.fill(0);
-        self.columns.fill(0);
-        self.clock = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.victim_hits_total = 0;
-        self.pred_stats = PredictionStats::default();
-    }
 }
 
 /// Counter snapshot of a [`CacheHierarchy`].
@@ -614,7 +245,7 @@ impl CacheSim {
 pub struct HierarchyCounters {
     /// Data accesses pushed through the hierarchy.
     pub total: u64,
-    /// Accesses served by L1 (victim cache included).
+    /// Accesses served by L1.
     pub l1_hits: u64,
     /// Accesses served by L2.
     pub l2_hits: u64,
@@ -625,8 +256,6 @@ pub struct HierarchyCounters {
     /// DRAM line write-backs (dirty evictions that fell out of the
     /// hierarchy, plus anything drained by [`CacheHierarchy::flush`]).
     pub mem_writes: u64,
-    /// L1 hits that came specifically from the victim cache.
-    pub l1_victim_hits: u64,
 }
 
 /// A data-side cache hierarchy (L1d → L2 → optional L3) for one core's
@@ -657,19 +286,6 @@ impl CacheHierarchy {
             mem_writes: 0,
             total: 0,
         }
-    }
-
-    /// Attach a victim cache of `entries` lines to L1 (builder style).
-    pub fn with_l1_victim(mut self, entries: usize) -> Self {
-        self.l1 = self.l1.with_victim(entries);
-        self
-    }
-
-    /// Enable way prediction on L1 (builder style; statistics via
-    /// [`Self::l1_prediction_stats`]).
-    pub fn with_l1_prediction(mut self, prediction: WayPrediction) -> Self {
-        self.l1 = self.l1.with_prediction(prediction);
-        self
     }
 
     /// Route a dirty line falling out of `level` into the next level
@@ -724,9 +340,8 @@ impl CacheHierarchy {
         }
         if let Some(l3) = &mut self.l3 {
             let a3 = l3.touch(addr, false);
-            if let Some(wb) = a3.writeback {
+            if a3.writeback.is_some() {
                 self.mem_writes += 1;
-                let _ = wb;
             }
             if a3.hit {
                 return AccessOutcome::L3Hit;
@@ -769,11 +384,6 @@ impl CacheHierarchy {
         )
     }
 
-    /// Accesses that reached DRAM (line fills).
-    pub fn memory_accesses(&self) -> u64 {
-        self.mem_reads
-    }
-
     /// DRAM line fills.
     pub fn mem_reads(&self) -> u64 {
         self.mem_reads
@@ -784,12 +394,7 @@ impl CacheHierarchy {
         self.mem_writes
     }
 
-    /// Total accesses observed.
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
-    /// L1 hits observed (victim hits included).
+    /// L1 hits observed.
     pub fn l1_hits(&self) -> u64 {
         self.l1.hits()
     }
@@ -809,11 +414,6 @@ impl CacheHierarchy {
         self.l1.line_bytes()
     }
 
-    /// Way-prediction statistics of L1.
-    pub fn l1_prediction_stats(&self) -> PredictionStats {
-        self.l1.prediction_stats()
-    }
-
     /// The full counter snapshot.
     pub fn counters(&self) -> HierarchyCounters {
         HierarchyCounters {
@@ -823,7 +423,6 @@ impl CacheHierarchy {
             l3_hits: self.l3_hits(),
             mem_reads: self.mem_reads,
             mem_writes: self.mem_writes,
-            l1_victim_hits: self.l1.victim_hits(),
         }
     }
 }
@@ -896,7 +495,7 @@ mod tests {
                 h.access(i * 64);
             }
         }
-        assert_eq!(h.memory_accesses(), lines);
+        assert_eq!(h.mem_reads(), lines);
         assert_eq!(h.l2_hits(), 0);
     }
 
@@ -912,7 +511,7 @@ mod tests {
             }
         }
         // Cold pass misses everything; later passes hit in L2.
-        assert_eq!(h.memory_accesses(), lines);
+        assert_eq!(h.mem_reads(), lines);
         assert!(h.l2_hits() >= 3 * (lines - spec.l1d.size_bytes() / 64));
     }
 
@@ -927,74 +526,8 @@ mod tests {
                 h.access(i * 64);
             }
         }
-        assert_eq!(h.memory_accesses(), lines);
+        assert_eq!(h.mem_reads(), lines);
         assert!(h.l3_hits() > 0, "overflowing L2 must land in L3");
-    }
-
-    #[test]
-    fn fifo_does_not_refresh_on_hit() {
-        // 2-way set; access pattern A B A C: under LRU, C evicts B
-        // (A was refreshed); under FIFO, C evicts A (oldest insertion).
-        let lvl = CacheLevel::private(1, 2, 64); // 8 sets
-        let s = 512u64; // same-set stride
-        let (a, b, c) = (0u64, s, 2 * s);
-
-        let mut lru = CacheSim::new(&lvl);
-        lru.access(a);
-        lru.access(b);
-        assert!(lru.access(a));
-        lru.access(c);
-        assert!(lru.access(a), "LRU keeps the refreshed line");
-
-        let mut fifo = CacheSim::new(&lvl).with_policy(ReplacementPolicy::Fifo);
-        fifo.access(a);
-        fifo.access(b);
-        assert!(fifo.access(a));
-        fifo.access(c);
-        assert!(!fifo.access(a), "FIFO evicts the oldest insertion");
-    }
-
-    #[test]
-    fn lru_beats_fifo_and_random_on_reuse_heavy_streams() {
-        // A blocked-reuse stream (tile revisits) is exactly where LRU
-        // earns its keep.
-        let lvl = CacheLevel::private(32, 8, 64);
-        let mut stream = Vec::new();
-        for tile in 0..64u64 {
-            let base = tile * 16 * 1024;
-            for _ in 0..4 {
-                for off in (0..16 * 1024).step_by(64) {
-                    stream.push(base + off);
-                }
-            }
-        }
-        let ratio = |policy| {
-            let mut c = CacheSim::new(&lvl).with_policy(policy);
-            for &a in &stream {
-                c.access(a);
-            }
-            c.hit_ratio()
-        };
-        let lru = ratio(ReplacementPolicy::Lru);
-        let fifo = ratio(ReplacementPolicy::Fifo);
-        let random = ratio(ReplacementPolicy::Random);
-        assert!(lru >= fifo, "LRU {lru:.3} < FIFO {fifo:.3}");
-        assert!(lru >= random, "LRU {lru:.3} < Random {random:.3}");
-        assert!(lru > 0.7, "blocked stream should mostly hit: {lru:.3}");
-    }
-
-    #[test]
-    fn random_policy_is_deterministic() {
-        let lvl = CacheLevel::private(4, 2, 64);
-        let addrs: Vec<u64> = (0..5000u64).map(|i| (i * 2654435761) % (1 << 20)).collect();
-        let run = || {
-            let mut c = CacheSim::new(&lvl).with_policy(ReplacementPolicy::Random);
-            for &a in &addrs {
-                c.access(a);
-            }
-            (c.hits(), c.misses())
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1005,87 +538,6 @@ mod tests {
         let (l2, l3, mem) = h.profile_stream(addrs);
         assert!(l2 >= 0.0 && l3 >= 0.0 && mem >= 0.0);
         assert!(l2 + l3 + mem <= 1.0 + 1e-12);
-    }
-
-    #[test]
-    fn victim_cache_catches_conflict_misses() {
-        // Direct-mapped 8-set cache: 9 lines mapping round-robin thrash
-        // it; a 4-entry victim buffer catches the re-references.
-        let lvl = CacheLevel::private(1, 1, 64); // 16 sets, direct-mapped
-        let s = 16 * 64u64; // same-set stride
-        let mut plain = CacheSim::new(&lvl);
-        let mut with_victim = CacheSim::new(&lvl).with_victim(4);
-        // A and B conflict in set 0; alternate between them.
-        for _ in 0..32 {
-            plain.access(0);
-            plain.access(s);
-            with_victim.access(0);
-            with_victim.access(s);
-        }
-        assert_eq!(plain.hits(), 0, "direct-mapped thrash never hits");
-        assert!(with_victim.victim_hits() > 0, "victim cache must serve the conflicting line");
-        assert!(with_victim.hit_ratio() > 0.9, "ratio {:.3}", with_victim.hit_ratio());
-    }
-
-    #[test]
-    fn victim_hits_count_in_overall_hit_rate() {
-        let lvl = CacheLevel::private(1, 1, 64);
-        let s = 16 * 64u64;
-        let mut c = CacheSim::new(&lvl).with_victim(2);
-        c.access(0); // miss
-        c.access(s); // miss, 0 -> victim
-        let a = c.touch(0, false); // victim hit
-        assert!(a.hit && a.victim_hit);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.victim_hits(), 1);
-    }
-
-    #[test]
-    fn mru_prediction_first_hits_on_repeats() {
-        let lvl = CacheLevel::private(1, 4, 64); // 4 sets, 4 ways
-        let mut c = CacheSim::new(&lvl).with_prediction(WayPrediction::Mru);
-        c.access(0);
-        for _ in 0..10 {
-            c.access(0); // always the MRU way
-        }
-        let s = c.prediction_stats();
-        assert_eq!(s.first_hits, 10);
-        assert_eq!(s.non_first_hits, 0);
-        assert_eq!(s.avg_probes(), 1.0);
-    }
-
-    #[test]
-    fn mru_prediction_misses_on_alternation() {
-        let lvl = CacheLevel::private(1, 4, 64);
-        let s = 4 * 64u64; // same-set stride (4 sets)
-        let mut c = CacheSim::new(&lvl).with_prediction(WayPrediction::Mru);
-        c.access(0);
-        c.access(s);
-        // Alternate: the MRU guess is always the *other* line.
-        for i in 0..10u64 {
-            let a = if i % 2 == 0 { 0 } else { s };
-            c.access(a);
-        }
-        let st = c.prediction_stats();
-        assert_eq!(st.first_hits, 0, "{st:?}");
-        assert_eq!(st.non_first_hits, 10, "{st:?}");
-        assert!(st.avg_probes() > 1.0);
-    }
-
-    #[test]
-    fn multi_column_prediction_tracks_candidates() {
-        let lvl = CacheLevel::private(1, 4, 64);
-        let mut c = CacheSim::new(&lvl).with_prediction(WayPrediction::MultiColumn);
-        c.access(0);
-        for _ in 0..8 {
-            c.access(0);
-        }
-        let st = c.prediction_stats();
-        // A single resident tag has exactly one candidate bit in its
-        // column: every repeat is a first hit with one probe.
-        assert_eq!(st.first_hits, 8, "{st:?}");
-        assert_eq!(st.avg_probes(), 1.0);
-        assert!(st.first_hit_ratio() > 0.99);
     }
 
     #[test]

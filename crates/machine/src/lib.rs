@@ -8,8 +8,9 @@
 //!   memory system) plus microarchitectural efficiency knobs,
 //! * [`presets`] — the three servers of Table I, encoded verbatim,
 //! * [`topology`] — chips/cores and process placement policies,
-//! * [`cache`] — a set-associative, LRU cache hierarchy simulator used to
-//!   derive hit rates for synthetic access streams,
+//! * [`cache`] — a set-associative, LRU write-back cache hierarchy
+//!   simulator that replays captured kernel address traces into hit and
+//!   DRAM traffic counts,
 //! * [`workload`] — the resource *signature* of a benchmark program
 //!   (flops, DRAM traffic, footprint, communication fraction, compute
 //!   kind), the interface between the kernel implementations and the
@@ -37,10 +38,7 @@ pub mod spec;
 pub mod topology;
 pub mod workload;
 
-pub use cache::{
-    Access, AccessOutcome, CacheHierarchy, CacheSim, HierarchyCounters, PredictionStats,
-    ReplacementPolicy, WayPrediction,
-};
+pub use cache::{Access, AccessOutcome, CacheHierarchy, CacheSim, HierarchyCounters};
 pub use pmu::{PmuCounters, PmuRates};
 pub use presets::{all_servers, opteron_8347, xeon_4870, xeon_e5462};
 pub use roofline::{ExecEstimate, PerfModel};

@@ -236,6 +236,20 @@ mod tests {
     }
 
     #[test]
+    fn locality_presets_order_by_traffic_beyond_l2() {
+        // Random > streaming > dense-blocked > compute-resident, the
+        // order replays of the matching captured kernels also show.
+        let beyond_l2 = [
+            LocalityProfile::random_access(),
+            LocalityProfile::streaming(),
+            LocalityProfile::dense_blocked(),
+            LocalityProfile::compute_resident(),
+        ]
+        .map(|p| p.mem + p.l3_hit);
+        assert!(beyond_l2.windows(2).all(|w| w[0] > w[1]), "{beyond_l2:?}");
+    }
+
+    #[test]
     fn normalize_fixes_sloppy_profile() {
         let p = LocalityProfile {
             instr_per_op: 1.0,

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use hpceval_machine::cache::{CacheHierarchy, CacheSim, ReplacementPolicy, WayPrediction};
+use hpceval_machine::cache::{CacheHierarchy, CacheSim};
 use hpceval_machine::presets;
 use hpceval_machine::roofline::PerfModel;
 use hpceval_machine::spec::CacheLevel;
@@ -129,42 +129,26 @@ proptest! {
 
     /// `touch_run(addr, write, k)` leaves a cache in exactly the state
     /// of `k` single touches on addresses of `addr`'s line — slots,
-    /// stamps, clock, victim buffer, predictor state, random stream and
-    /// statistics — under every replacement policy, with and without a
-    /// victim cache, under every way-prediction scheme.
+    /// stamps, clock and statistics.
     #[test]
     fn touch_run_equals_repeated_touches(
         (size_kib, ways) in prop::sample::select(vec![(1u32, 1u32), (1, 2), (1, 4), (2, 8), (4, 16)]),
         runs in prop::collection::vec((0u64..1 << 15, 0u8..2, 1u64..24), 1..200),
     ) {
         let level = CacheLevel::private(size_kib, ways, 64);
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Random] {
-            for victim in [0, 4] {
-                for prediction in
-                    [WayPrediction::None, WayPrediction::Mru, WayPrediction::MultiColumn]
-                {
-                    let build = || {
-                        CacheSim::new(&level)
-                            .with_policy(policy)
-                            .with_victim(victim)
-                            .with_prediction(prediction)
-                    };
-                    let (mut batched, mut single) = (build(), build());
-                    for &(addr, write, count) in &runs {
-                        let write = write == 1;
-                        let first = batched.touch_run(addr, write, count);
-                        // The same line, a different byte each time.
-                        let line = addr & !63;
-                        let want = single.touch(addr, write);
-                        for k in 1..count {
-                            let again = single.touch(line | ((addr + 13 * k) & 63), write);
-                            prop_assert!(again.hit && again.writeback.is_none());
-                        }
-                        prop_assert_eq!(first, want);
-                    }
-                    prop_assert_eq!(format!("{batched:?}"), format!("{single:?}"));
-                }
+        let (mut batched, mut single) = (CacheSim::new(&level), CacheSim::new(&level));
+        for &(addr, write, count) in &runs {
+            let write = write == 1;
+            let first = batched.touch_run(addr, write, count);
+            // The same line, a different byte each time.
+            let line = addr & !63;
+            let want = single.touch(addr, write);
+            for k in 1..count {
+                let again = single.touch(line | ((addr + 13 * k) & 63), write);
+                prop_assert!(again.hit && again.writeback.is_none());
             }
+            prop_assert_eq!(first, want);
         }
+        prop_assert_eq!(format!("{batched:?}"), format!("{single:?}"));
     }
 }

@@ -12,12 +12,13 @@
 //!    **PPW**,
 //! 6. average the PPWs into the system score.
 //!
-//! [`TraceAnalysis`] implements steps 1–4; [`ppw`] and [`energy_kj`] are
-//! steps 5 and the paper's Eq. (2).
+//! [`TraceAnalysis`] implements steps 1–4 ([`trimmed_stats`] is steps
+//! 3–4 alone, for callers that already hold a window); [`ppw`] and
+//! [`energy_kj`] are steps 5 and the paper's Eq. (2).
 
 use serde::{Deserialize, Serialize};
 
-use crate::meter::PowerTrace;
+use crate::meter::{PowerSample, PowerTrace};
 
 /// Execution window of one program within a measurement session.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,16 +72,22 @@ impl TraceAnalysis {
     /// ("LU.A.2 runs 1.01 s … stability and accuracy are difficult to
     /// maintain").
     pub fn analyze(&self, win: ProgramWindow) -> Option<WindowStats> {
-        let extracted = self.trace.window(win.start_s, win.end_s);
-        let raw = extracted.len();
-        let cut = trim_cut(raw, self.trim_frac);
-        let kept = &extracted.samples[cut..raw - cut];
-        if kept.is_empty() {
-            return None;
-        }
-        let mean = kept.iter().map(|s| s.watts).sum::<f64>() / kept.len() as f64;
-        Some(WindowStats { mean_w: mean, samples: kept.len(), raw_samples: raw })
+        trimmed_stats(&self.trace.window(win.start_s, win.end_s).samples, self.trim_frac)
     }
+}
+
+/// Steps 3–4 over an already-extracted window of time-ordered samples:
+/// trim `trim_frac` from each end, average the rest. `None` when nothing
+/// survives the trim.
+pub fn trimmed_stats(samples: &[PowerSample], trim_frac: f64) -> Option<WindowStats> {
+    let raw = samples.len();
+    let cut = trim_cut(raw, trim_frac);
+    let kept = &samples[cut..raw - cut];
+    if kept.is_empty() {
+        return None;
+    }
+    let mean = kept.iter().map(|s| s.watts).sum::<f64>() / kept.len() as f64;
+    Some(WindowStats { mean_w: mean, samples: kept.len(), raw_samples: raw })
 }
 
 /// Samples removed from *each* end of a `raw`-sample window at the

@@ -41,4 +41,4 @@ pub use monitor::{Monitor, MonitorConfig, MonitorReport};
 pub use ring::{AppendOutcome, RingBuffer, SeriesStats, SeriesStore, ServerSeries};
 pub use rls::Rls;
 pub use source::{LiveServer, SampleSource, TelemetrySample, TraceReplay};
-pub use window::{trimmed_stats, SlidingWindow, WindowSummary};
+pub use window::{SlidingWindow, WindowSummary};

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use hpceval_power::analysis::{trim_cut, WindowStats};
+use hpceval_power::analysis::trim_cut;
 use hpceval_power::meter::PowerSample;
 
 /// Statistics over the current window.
@@ -126,25 +126,10 @@ impl SlidingWindow {
     }
 }
 
-/// The offline analyzer's trim-and-average over an already-extracted
-/// window of time-ordered samples — byte-for-byte the semantics of
-/// [`hpceval_power::analysis::TraceAnalysis::analyze`], exposed so the
-/// streaming path can be checked against the batch path.
-pub fn trimmed_stats(samples: &[PowerSample], trim_frac: f64) -> Option<WindowStats> {
-    let raw = samples.len();
-    let cut = trim_cut(raw, trim_frac);
-    let kept = &samples[cut..raw - cut];
-    if kept.is_empty() {
-        return None;
-    }
-    let mean = kept.iter().map(|s| s.watts).sum::<f64>() / kept.len() as f64;
-    Some(WindowStats { mean_w: mean, samples: kept.len(), raw_samples: raw })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpceval_power::analysis::{ProgramWindow, TraceAnalysis};
+    use hpceval_power::analysis::{trimmed_stats, ProgramWindow, TraceAnalysis};
     use hpceval_power::meter::PowerTrace;
 
     fn sample(t: f64, w: f64) -> PowerSample {

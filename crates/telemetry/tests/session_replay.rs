@@ -11,8 +11,9 @@ use hpceval_kernels::hpl::HplConfig;
 use hpceval_kernels::npb::{ep::Ep, Class};
 use hpceval_kernels::suite::Benchmark;
 use hpceval_machine::presets;
+use hpceval_power::analysis::trimmed_stats;
 use hpceval_power::meter::PowerTrace;
-use hpceval_telemetry::{collect, trimmed_stats, SampleSource, SeriesStore, TraceReplay};
+use hpceval_telemetry::{collect, SampleSource, SeriesStore, TraceReplay};
 
 #[test]
 fn collector_replay_matches_offline_trace_analysis() {

@@ -14,9 +14,8 @@
 //!   delta/varint wire format,
 //! * [`event`] — block-descriptor events (base/stride/count over
 //!   *logical* addresses) and the varint/zigzag primitives,
-//! * [`replay`] — drives a trace through the `hpceval-machine`
-//!   write-back hierarchy (victim cache and way prediction optional)
-//!   and bridges the resulting counters back into locality profiles,
+//! * [`replay`](mod@replay) — drives a trace through the `hpceval-machine` LRU
+//!   write-back hierarchy and bridges the resulting counters back into locality profiles,
 //! * [`ring`] — the bounded ring the per-chunk logs and rings use.
 //!
 //! This crate sits *below* `hpceval-kernels` in the dependency graph

@@ -7,21 +7,16 @@
 //! bridge back into the analytic pipeline: it replaces a closed-form
 //! locality split with the measured one.
 
-use hpceval_machine::cache::{CacheHierarchy, PredictionStats, WayPrediction};
+use hpceval_machine::cache::CacheHierarchy;
 use hpceval_machine::spec::{CacheLevel, ServerSpec};
 use hpceval_machine::workload::LocalityProfile;
 
 use crate::capture::Trace;
 use crate::event::AccessKind;
 
-/// Replay-side hierarchy options (the exemplar simulator's refinements;
-/// all off by default so replay matches the plain hierarchy).
+/// Replay-side hierarchy options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayOptions {
-    /// Lines in the L1 victim cache (0 = none).
-    pub victim_entries: usize,
-    /// L1 way-prediction scheme (statistics only).
-    pub prediction: WayPrediction,
     /// Capacity scale applied to every cache level (default 1.0).
     ///
     /// Capture problems are typically orders of magnitude smaller than
@@ -38,7 +33,7 @@ pub struct ReplayOptions {
 
 impl Default for ReplayOptions {
     fn default() -> Self {
-        Self { victim_entries: 0, prediction: WayPrediction::None, cache_scale: 1.0 }
+        Self { cache_scale: 1.0 }
     }
 }
 
@@ -48,7 +43,7 @@ impl Default for ReplayOptions {
 pub struct TraceCounters {
     /// Replayed data accesses.
     pub accesses: u64,
-    /// Accesses served by L1 (victim hits included).
+    /// Accesses served by L1.
     pub l1_hits: u64,
     /// Accesses served by L2 (the paper's X3).
     pub l2_hits: u64,
@@ -58,10 +53,6 @@ pub struct TraceCounters {
     pub mem_reads: u64,
     /// DRAM dirty write-backs (the paper's X6).
     pub mem_writes: u64,
-    /// L1 hits served by the victim cache.
-    pub l1_victim_hits: u64,
-    /// L1 way-prediction statistics (zeros when prediction is off).
-    pub prediction: PredictionStats,
 }
 
 impl TraceCounters {
@@ -116,7 +107,7 @@ fn scaled_level(level: &CacheLevel, scale: f64) -> CacheLevel {
 
 /// Build the replay hierarchy for `spec` with `opts`.
 pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
-    let h = if opts.cache_scale >= 1.0 {
+    if opts.cache_scale >= 1.0 {
         CacheHierarchy::for_server(spec)
     } else {
         let mut scaled = spec.clone();
@@ -133,8 +124,7 @@ pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
             l3.size_kib = l3.size_kib.max(scaled.l2.size_kib * 2);
         }
         CacheHierarchy::for_server(&scaled)
-    };
-    h.with_l1_victim(opts.victim_entries).with_l1_prediction(opts.prediction)
+    }
 }
 
 /// Replay every burst of `trace` (chunks in ascending id order, events
@@ -168,8 +158,6 @@ pub fn replay(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCou
         l3_hits: c.l3_hits,
         mem_reads: c.mem_reads,
         mem_writes: c.mem_writes,
-        l1_victim_hits: c.l1_victim_hits,
-        prediction: h.l1_prediction_stats(),
     }
 }
 
@@ -219,36 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn victim_cache_and_prediction_options_wire_through() {
-        // Conflict-heavy pattern: two lines in the same L1 set,
-        // alternating. (E5462 L1: 32 KiB, 8-way, 64 B lines -> 64 sets;
-        // same-set stride = 64*64 B = 4 KiB; 9 distinct lines overflow
-        // the 8 ways.)
-        let mut events = Vec::new();
-        for _ in 0..64 {
-            for k in 0..9u64 {
-                events.push(TraceEvent::read(k * 4096, 0, 1));
-            }
-        }
-        let opts = ReplayOptions {
-            victim_entries: 8,
-            prediction: WayPrediction::Mru,
-            ..Default::default()
-        };
-        let c = replay(&trace_of(events.clone()), &presets::xeon_e5462(), opts);
-        let plain = replay(&trace_of(events), &presets::xeon_e5462(), ReplayOptions::default());
-        assert!(c.l1_victim_hits > 0, "victim cache must catch conflict misses");
-        assert!(c.l1_hits > plain.l1_hits);
-
-        // A repeat-access burst (stride 0) exercises the MRU predictor:
-        // every hit after the cold fill lands on the predicted way.
-        let repeats = vec![TraceEvent::read(0, 0, 100)];
-        let c = replay(&trace_of(repeats), &presets::xeon_e5462(), opts);
-        assert_eq!(c.prediction.first_hits, 99, "{:?}", c.prediction);
-        assert_eq!(c.prediction.avg_probes(), 1.0);
-    }
-
-    #[test]
     fn cache_scale_miniaturizes_the_hierarchy() {
         // A 256 KiB array of doubles walked four times is L2-resident at
         // full size on the E5462 (6 MiB L2) but streams from DRAM at
@@ -257,7 +215,7 @@ mod tests {
             (0..4).map(|_| TraceEvent::read(0, 8, (256 << 10) / 8)).collect();
         let full =
             replay(&trace_of(events.clone()), &presets::xeon_e5462(), ReplayOptions::default());
-        let opts = ReplayOptions { cache_scale: 1.0 / 512.0, ..Default::default() };
+        let opts = ReplayOptions { cache_scale: 1.0 / 512.0 };
         let mini = replay(&trace_of(events), &presets::xeon_e5462(), opts);
         assert_eq!(full.accesses, mini.accesses);
         assert!(

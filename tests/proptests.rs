@@ -461,8 +461,6 @@ fn per_address_replay(
         l3_hits: c.l3_hits,
         mem_reads: c.mem_reads,
         mem_writes: c.mem_writes,
-        l1_victim_hits: c.l1_victim_hits,
-        prediction: h.l1_prediction_stats(),
     }
 }
 
@@ -483,16 +481,13 @@ fn arb_bursts() -> impl Strategy<Value = Vec<hpceval::trace::TraceEvent>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Line-run replay returns exactly the per-address counters,
-    /// prediction statistics included, on every preset, at full and
-    /// miniaturized cache scales, with and without an L1 victim cache,
-    /// under every way-prediction scheme.
+    /// Line-run replay returns exactly the per-address counters on every
+    /// preset, at full and miniaturized cache scales.
     #[test]
     fn line_run_replay_equals_per_address_replay(
         bursts in arb_bursts(),
         split in 0usize..48,
     ) {
-        use hpceval::machine::cache::WayPrediction;
         use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace};
 
         // Two chunks, so replay also crosses a chunk boundary.
@@ -507,20 +502,14 @@ proptest! {
         };
         for spec in presets::all_servers() {
             for cache_scale in [1.0, 1.0 / 512.0, 1.0 / 2048.0] {
-                for victim_entries in [0, 8] {
-                    for prediction in
-                        [WayPrediction::None, WayPrediction::Mru, WayPrediction::MultiColumn]
-                    {
-                        let opts = ReplayOptions { victim_entries, prediction, cache_scale };
-                        let want = per_address_replay(&trace, &spec, opts);
-                        let got = replay(&trace, &spec, opts);
-                        prop_assert!(
-                            got == want,
-                            "{} {opts:?}: line runs {got:?} vs per address {want:?}",
-                            spec.name
-                        );
-                    }
-                }
+                let opts = ReplayOptions { cache_scale };
+                let want = per_address_replay(&trace, &spec, opts);
+                let got = replay(&trace, &spec, opts);
+                prop_assert!(
+                    got == want,
+                    "{} {opts:?}: line runs {got:?} vs per address {want:?}",
+                    spec.name
+                );
             }
         }
     }
