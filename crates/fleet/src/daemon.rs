@@ -48,7 +48,6 @@ use rayon::{ThreadPool, ThreadPoolBuilder};
 use serde::{Serialize, Value};
 
 use hpceval_core::jobs::{evaluation_plan, STATE_SLOT_S};
-use hpceval_telemetry::TelemetryEvent;
 
 use crate::error::FleetError;
 use crate::events::{EventKind, FleetEvent};
@@ -351,11 +350,6 @@ impl Fleet {
     /// All events so far.
     pub fn events(&self) -> Vec<FleetEvent> {
         self.events.lock().clone()
-    }
-
-    /// The telemetry-bridged view of the event stream.
-    pub fn telemetry_events(&self) -> Vec<TelemetryEvent> {
-        self.events.lock().iter().filter_map(FleetEvent::to_telemetry).collect()
     }
 
     /// Rank the servers the fleet could finish evaluating, best mean

@@ -1,12 +1,7 @@
-//! Fleet lifecycle events, bridged into the telemetry subsystem.
+//! Fleet lifecycle events.
 //!
 //! The daemon narrates every job's life — submitted, started,
 //! checkpointed, preempted, retried, finished — as [`FleetEvent`]s.
-//! Consumers that already watch the PR-1 telemetry stream can fold the
-//! fleet in through [`FleetEvent::to_telemetry`], which maps onto the
-//! [`TelemetryEvent::FleetJob`] variant.
-
-use hpceval_telemetry::{JobPhase, TelemetryEvent};
 
 use crate::job::JobId;
 
@@ -74,27 +69,6 @@ pub struct FleetEvent {
     pub kind: EventKind,
 }
 
-impl FleetEvent {
-    /// Map onto the telemetry stream's [`TelemetryEvent::FleetJob`]
-    /// variant. Purely-internal events (submissions, dropouts,
-    /// preemptions) return `None` — they would flood the stream.
-    pub fn to_telemetry(&self) -> Option<TelemetryEvent> {
-        let phase = match &self.kind {
-            EventKind::Started { .. } => JobPhase::Started,
-            EventKind::Checkpointed { .. } => JobPhase::Checkpointed,
-            EventKind::Retried { .. } => JobPhase::Retried,
-            EventKind::Failed { .. } => JobPhase::Failed,
-            EventKind::Done => JobPhase::Done,
-            EventKind::Degraded { .. } => JobPhase::Degraded,
-            EventKind::Submitted
-            | EventKind::MeterDropout { .. }
-            | EventKind::Preempted { .. }
-            | EventKind::NodeCrashed => return None,
-        };
-        Some(TelemetryEvent::FleetJob { server: self.node, t_s: self.t_s, job: self.job, phase })
-    }
-}
-
 impl std::fmt::Display for FleetEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job {} node {}: ", self.job, self.node)?;
@@ -111,46 +85,6 @@ impl std::fmt::Display for FleetEvent {
             EventKind::Done => write!(f, "done"),
             EventKind::Degraded { reason } => write!(f, "degraded ({reason})"),
             EventKind::Failed { reason } => write!(f, "failed ({reason})"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lifecycle_events_bridge_to_telemetry() {
-        let ev =
-            FleetEvent { t_s: 650.0, job: 3, node: 1, kind: EventKind::Started { attempt: 1 } };
-        match ev.to_telemetry() {
-            Some(TelemetryEvent::FleetJob {
-                server: 1, job: 3, phase: JobPhase::Started, ..
-            }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        let ev = FleetEvent {
-            t_s: 0.0,
-            job: 3,
-            node: 1,
-            kind: EventKind::Degraded { reason: "x".into() },
-        };
-        assert!(matches!(
-            ev.to_telemetry(),
-            Some(TelemetryEvent::FleetJob { phase: JobPhase::Degraded, .. })
-        ));
-    }
-
-    #[test]
-    fn internal_events_stay_internal() {
-        for kind in [
-            EventKind::Submitted,
-            EventKind::MeterDropout { row: 2 },
-            EventKind::Preempted { row: 2 },
-            EventKind::NodeCrashed,
-        ] {
-            let ev = FleetEvent { t_s: 0.0, job: 1, node: 0, kind };
-            assert!(ev.to_telemetry().is_none());
         }
     }
 }

@@ -42,8 +42,7 @@
 //!   autotuner cell as a WAL-backed `Tune` job through the sharded
 //!   router; a killed shard's replay reproduces the energy-delay
 //!   Pareto frontier bitwise.
-//! - **Observability** ([`events`]): job lifecycle events, bridged into
-//!   the `hpceval-telemetry` stream.
+//! - **Observability** ([`events`]): job lifecycle events.
 
 pub mod client;
 pub mod codec;

@@ -184,25 +184,6 @@ fn checkpoints_hit_the_wal_before_completion() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Telemetry bridge: fleet activity shows up as FleetJob events.
-#[test]
-fn fleet_lifecycle_is_bridged_into_telemetry() {
-    let path = wal_path("bridge");
-    let fleet = Fleet::open(FleetConfig::default(), Registry::with_presets(), &path).unwrap();
-    let sched = fleet.start_scheduler();
-    fleet.submit(vec![eval("xeon-e5462", 5)]).unwrap();
-    fleet.drain();
-    fleet.request_shutdown();
-    sched.join().unwrap();
-
-    let bridged = fleet.telemetry_events();
-    assert!(!bridged.is_empty(), "telemetry received fleet events");
-    let text: Vec<String> = bridged.iter().map(|e| e.to_string()).collect();
-    assert!(text.iter().any(|t| t.contains("started")), "{text:?}");
-    assert!(text.iter().any(|t| t.contains("done")), "{text:?}");
-    std::fs::remove_file(&path).unwrap();
-}
-
 /// Backpressure under concurrency: submits beyond the cap are pushed
 /// back, and the pushed-back client can retry successfully later.
 #[test]

@@ -148,7 +148,7 @@ pub fn dgemm(n: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64
 /// pool width, the bitwise SIMD path *and* the tile plan (interior KC
 /// is a multiple of 4, so the micro-kernel's quad/single k grouping is
 /// plan-invariant), so results are bitwise deterministic across
-/// `HPCEVAL_THREADS` × bitwise `HPCEVAL_SIMD` modes × `HPCEVAL_SPEC`.
+/// `HPCEVAL_THREADS` × bitwise `HPCEVAL_SIMD` modes × tile plans.
 pub fn dgemm_with(
     n: usize,
     alpha: f64,

@@ -43,13 +43,9 @@
 //! (32 KiB L1d, 256 KiB per-core L2 — Table I's Xeon X7560-class
 //! private L2, also the paper's Xeon-4870 per-core shape) rather than
 //! probed from the host, so captured traces and recorded benchmarks
-//! replay identically everywhere. `HPCEVAL_SPEC=<preset name>` pins
-//! the plan to one of the paper servers' hierarchies instead (read
-//! once, like `HPCEVAL_SIMD`).
+//! replay identically everywhere. [`TilePlan::for_spec`] gives a paper
+//! server's own pick.
 
-use std::sync::OnceLock;
-
-use hpceval_machine::presets;
 use hpceval_machine::spec::ServerSpec;
 
 /// Reference L1d capacity (bytes) of the default plan's geometry.
@@ -117,19 +113,11 @@ impl TilePlan {
         Self::for_geometry(spec.l1d.bytes_per_core(), spec.l2.bytes_per_core())
     }
 
-    /// The process-wide plan every default-constructed
-    /// [`crate::hpcc::dgemm::DgemmWorkspace`] uses: the
-    /// `HPCEVAL_SPEC` preset's hierarchy if the pin is set and names a
-    /// known server, else the reference geometry. Resolved once.
+    /// The plan every default-constructed
+    /// [`crate::hpcc::dgemm::DgemmWorkspace`] uses: the reference
+    /// geometry's.
     pub fn active() -> Self {
-        static ACTIVE: OnceLock<TilePlan> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            std::env::var("HPCEVAL_SPEC")
-                .ok()
-                .and_then(|name| presets::by_name(name.trim()))
-                .map(|spec| Self::for_spec(&spec))
-                .unwrap_or_else(|| Self::for_geometry(REFERENCE_L1D_BYTES, REFERENCE_L2_BYTES))
-        })
+        Self::for_geometry(REFERENCE_L1D_BYTES, REFERENCE_L2_BYTES)
     }
 
     /// Elements of one packed tile slot (`kc·nc`).
@@ -141,6 +129,7 @@ impl TilePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpceval_machine::presets;
 
     #[test]
     fn reference_plan_is_the_documented_pick() {

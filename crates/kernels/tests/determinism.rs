@@ -433,12 +433,12 @@ fn captured_traces_bitwise_identical_across_widths() {
     for region in Region::ALL {
         let reference = capture(region, 1);
         assert!(reference.total_events() > 0, "{} captured nothing", region.name());
-        let ref_bytes = reference.encode();
+        let ref_bytes = reference.bytes();
         let ref_counters = replay(&reference, &presets::xeon_4870(), ReplayOptions::default());
         for width in WIDTHS {
             let trace = capture(region, width);
             assert_eq!(
-                trace.encode(),
+                trace.bytes(),
                 ref_bytes,
                 "{} trace diverges at width {width}",
                 region.name()

@@ -56,50 +56,6 @@ pub enum TelemetryEvent {
         /// Threshold that was crossed, watts.
         threshold_w: f64,
     },
-    /// A fleet-orchestrated job changed lifecycle phase on a node
-    /// (bridged in by `hpceval-fleet` so one event stream carries both
-    /// meter anomalies and orchestration activity).
-    FleetJob {
-        /// Fleet node index the job ran on.
-        server: usize,
-        /// Seconds since the fleet daemon started.
-        t_s: f64,
-        /// Fleet job id.
-        job: u64,
-        /// The lifecycle transition.
-        phase: JobPhase,
-    },
-}
-
-/// Lifecycle phases a fleet job reports into the telemetry stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobPhase {
-    /// An attempt began executing on a node.
-    Started,
-    /// A completed state row was durably checkpointed.
-    Checkpointed,
-    /// The attempt failed and the job was requeued with backoff.
-    Retried,
-    /// The job exhausted its attempts.
-    Failed,
-    /// The job finished cleanly.
-    Done,
-    /// The job finished with flagged/partial results.
-    Degraded,
-}
-
-impl std::fmt::Display for JobPhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            JobPhase::Started => "started",
-            JobPhase::Checkpointed => "checkpointed",
-            JobPhase::Retried => "retried",
-            JobPhase::Failed => "failed",
-            JobPhase::Done => "done",
-            JobPhase::Degraded => "degraded",
-        };
-        f.write_str(s)
-    }
 }
 
 impl std::fmt::Display for TelemetryEvent {
@@ -120,9 +76,6 @@ impl std::fmt::Display for TelemetryEvent {
                 f,
                 "server {server}: model drift at t={t_s:.1}s: residual bias {bias_w:+.1} W exceeds {threshold_w:.1} W"
             ),
-            TelemetryEvent::FleetJob { server, t_s, job, phase } => {
-                write!(f, "node {server}: job {job} {phase} at t={t_s:.1}s")
-            }
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod source;
 pub mod window;
 
 pub use collector::{collect, CollectorStats, Ingest};
-pub use drift::{DriftDetector, JobPhase, TelemetryEvent};
+pub use drift::{DriftDetector, TelemetryEvent};
 pub use monitor::{Monitor, MonitorConfig, MonitorReport};
 pub use ring::{AppendOutcome, RingBuffer, SeriesStats, SeriesStore, ServerSeries};
 pub use rls::Rls;

@@ -138,8 +138,53 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Most bytes [`put_event`] writes: the kind tag and three varints.
+pub(crate) const MAX_EVENT_BYTES: usize = 1 + 10 + 5 + 5;
+
+/// Write `e` in the trace wire form at `out[*pos..]`, advancing `*pos`:
+/// its kind tag, then varints of the zigzag base delta from `prev_base`,
+/// the stride and the count. Panics unless [`MAX_EVENT_BYTES`] fit.
+///
+/// It writes into a slice rather than pushing onto a `Vec`: the capture
+/// recorder calls it once per burst, and byte-by-byte pushes made CG's
+/// capture about a fifth slower.
+#[inline]
+pub(crate) fn put_event(out: &mut [u8], pos: &mut usize, prev_base: u64, e: TraceEvent) {
+    let mut n = *pos;
+    out[n] = e.kind.tag();
+    n += 1;
+    let base_delta = zigzag_encode(e.base.wrapping_sub(prev_base) as i64);
+    for mut v in [base_delta, u64::from(e.stride), u64::from(e.count)] {
+        while v >= 0x80 {
+            out[n] = (v as u8) | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        out[n] = v as u8;
+        n += 1;
+    }
+    *pos = n;
+}
+
+/// Read the event [`put_event`] wrote at `*pos` after `prev_base`,
+/// advancing `*pos`. `None` on truncation or an unknown tag.
+pub(crate) fn get_event(buf: &[u8], pos: &mut usize, prev_base: u64) -> Option<TraceEvent> {
+    let kind = AccessKind::from_tag(*buf.get(*pos)?)?;
+    *pos += 1;
+    let base = prev_base.wrapping_add(zigzag_decode(get_uvarint(buf, pos)?) as u64);
+    let stride = u32::try_from(get_uvarint(buf, pos)?).ok()?;
+    let count = u32::try_from(get_uvarint(buf, pos)?).ok()?;
+    Some(TraceEvent { kind, base, stride, count })
+}
+
 /// Map a signed delta onto an unsigned varint-friendly integer
 /// (0, -1, 1, -2, ... → 0, 1, 2, 3, ...).
+#[inline]
 pub fn zigzag_encode(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -189,10 +234,33 @@ mod tests {
         for &v in &samples {
             let mut buf = Vec::new();
             put_uvarint(&mut buf, v);
+            assert_eq!(buf.len(), uvarint_len(v), "value {v}");
             let mut pos = 0;
             assert_eq!(get_uvarint(&buf, &mut pos), Some(v), "value {v}");
             assert_eq!(pos, buf.len());
         }
+    }
+
+    #[test]
+    fn events_round_trip() {
+        let events = [
+            TraceEvent::read(0, 8, 1),
+            TraceEvent::write(u64::MAX - 3, 0, u32::MAX),
+            TraceEvent::read(1 << 40, 4096, 300),
+        ];
+        let mut buf = [0u8; 3 * MAX_EVENT_BYTES];
+        let (mut len, mut prev) = (0, 0);
+        for e in events {
+            put_event(&mut buf, &mut len, prev, e);
+            prev = e.base;
+        }
+        let (mut pos, mut prev) = (0, 0);
+        for e in events {
+            assert_eq!(get_event(&buf[..len], &mut pos, prev), Some(e));
+            prev = e.base;
+        }
+        assert_eq!(get_event(&buf[..len], &mut pos, prev), None, "past the end");
+        assert_eq!(get_event(&[7, 0, 0, 0], &mut 0, 0), None, "unknown kind tag");
     }
 
     #[test]

@@ -9,18 +9,13 @@
 //!
 //! * [`capture`] — global, near-zero-cost instrumentation hooks the
 //!   kernel crates call from their chunked hot loops; per-chunk logs
-//!   committed into bounded event rings and merged into a
-//!   [`capture::Trace`] in width-invariant order; a compact
-//!   delta/varint wire format,
+//!   that encode each burst as it is recorded, bounded per chunk and
+//!   framed into a [`capture::Trace`] in width-invariant order. The
+//!   compact delta/varint bytes are the only form a trace takes,
 //! * [`event`] — block-descriptor events (base/stride/count over
-//!   *logical* addresses) and the varint/zigzag primitives,
+//!   *logical* addresses) and their varint/zigzag wire encoding,
 //! * [`replay`](mod@replay) — drives a trace through the `hpceval-machine` LRU
-//!   write-back hierarchy and bridges the resulting counters back into locality profiles,
-//! * [`ring`] — the bounded ring the per-chunk logs and rings use.
-//!
-//! This crate sits *below* `hpceval-kernels` in the dependency graph
-//! (kernels call the hooks), which is why it cannot reuse the telemetry
-//! crate's ring buffer: telemetry depends on kernels.
+//!   write-back hierarchy and bridges the resulting counters back into locality profiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,12 +23,9 @@
 pub mod capture;
 pub mod event;
 pub mod replay;
-pub mod ring;
 
 pub use capture::{
-    hooks, splitmix64, CaptureConfig, CaptureGuard, ChunkLog, ChunkTrace, DecodeError, Region,
-    Trace, TraceMode,
+    hooks, splitmix64, CaptureConfig, CaptureGuard, ChunkLog, Region, Trace, TraceMode,
 };
 pub use event::{AccessKind, TraceEvent};
 pub use replay::{replay, ReplayOptions, TraceCounters};
-pub use ring::TraceRing;

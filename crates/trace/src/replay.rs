@@ -127,9 +127,9 @@ pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
     }
 }
 
-/// Replay every burst of `trace` (chunks in ascending id order, events
-/// in emission order) through `spec`'s hierarchy, flush the dirty
-/// lines, and return the counters.
+/// Replay every burst of `trace` ([`Trace::events`]: chunks in ascending
+/// id order, events in emission order) through `spec`'s hierarchy,
+/// flush the dirty lines, and return the counters.
 ///
 /// Each burst goes in one L1 line at a time
 /// ([`TraceEvent::line_runs`] into [`CacheHierarchy::access_run`]): the
@@ -141,12 +141,10 @@ pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
 pub fn replay(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCounters {
     let mut h = hierarchy_for(spec, opts);
     let line = h.l1_line_bytes();
-    for chunk in &trace.chunks {
-        for e in &chunk.events {
-            let write = e.kind == AccessKind::Write;
-            for (addr, run) in e.line_runs(line) {
-                h.access_run(addr, write, run);
-            }
+    for e in trace.events() {
+        let write = e.kind == AccessKind::Write;
+        for (addr, run) in e.line_runs(line) {
+            h.access_run(addr, write, run);
         }
     }
     h.flush();
@@ -164,12 +162,20 @@ pub fn replay(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{ChunkTrace, Region, Trace};
+    use crate::capture::{hooks, serial, CaptureConfig, CaptureGuard, Region, Trace};
     use crate::event::TraceEvent;
     use hpceval_machine::presets;
 
+    /// `events` captured as one chunk, in order.
     fn trace_of(events: Vec<TraceEvent>) -> Trace {
-        Trace { region: Region::Stream, chunks: vec![ChunkTrace { id: 0, events }], dropped: 0 }
+        let _serial = serial();
+        let guard = CaptureGuard::start(Region::Stream, CaptureConfig::default()).unwrap();
+        let mut log = hooks::chunk(Region::Stream, 0).unwrap();
+        for e in events {
+            log.record(e.kind, e.base, e.stride, e.count);
+        }
+        drop(log);
+        guard.finish()
     }
 
     #[test]

@@ -280,13 +280,13 @@ fn trace_capture(args: &[String]) -> ExitCode {
             "{{\"kernel\":\"{}\",\"chunks\":{},\"events\":{},\"accesses\":{},\
              \"reads\":{},\"writes\":{},\"dropped\":{},\"encoded_bytes\":{}}}",
             region.name(),
-            trace.chunks.len(),
+            trace.chunk_count(),
             trace.total_events(),
             trace.total_accesses(),
             reads,
             writes,
             trace.dropped,
-            trace.encode().len(),
+            trace.bytes().len(),
         ))
     })();
     match result {

@@ -229,13 +229,8 @@ proptest! {
         passes in 2u32..4,
         seed in 0u64..1_000,
     ) {
-        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace, TraceEvent};
+        use hpceval::trace::{replay, ReplayOptions, TraceEvent};
 
-        let synthetic = |events: Vec<TraceEvent>| Trace {
-            region: Region::Stream,
-            chunks: vec![ChunkTrace { id: 0, events }],
-            dropped: 0,
-        };
         let spec = presets::xeon_4870(); // 32 KiB L1
         let doubles = (footprint_kib << 10) / 8;
 
@@ -254,13 +249,34 @@ proptest! {
             })
             .collect();
 
-        let l1 = |events| {
-            replay(&synthetic(events), &spec, ReplayOptions::default()).l1_hit_ratio()
+        let l1 = |events: Vec<TraceEvent>| {
+            // Chunks of 4096 bursts: the capture's per-chunk bound.
+            let trace = captured(events.chunks(4096));
+            replay(&trace, &spec, ReplayOptions::default()).l1_hit_ratio()
         };
         let (b, s, r) = (l1(blocked), l1(streaming), l1(random));
         prop_assert!(b > s + 0.02, "blocked {b} must beat streaming {s}");
         prop_assert!(s > r + 0.1, "streaming {s} must beat random {r}");
     }
+}
+
+/// `chunks` of bursts captured in order through the trace hooks, the
+/// `i`-th slice as chunk `i` of a STREAM session. No other test in this
+/// file runs STREAM outside its own session, so nothing else lands in
+/// the trace.
+fn captured<'a>(
+    chunks: impl IntoIterator<Item = &'a [hpceval::trace::TraceEvent]>,
+) -> hpceval::trace::Trace {
+    use hpceval::trace::{hooks, CaptureConfig, CaptureGuard, Region};
+
+    let guard = CaptureGuard::start(Region::Stream, CaptureConfig::default()).expect("full");
+    for (id, events) in chunks.into_iter().enumerate() {
+        let mut log = hooks::chunk(Region::Stream, id as u64).expect("session is live");
+        for e in events {
+            log.record(e.kind, e.base, e.stride, e.count);
+        }
+    }
+    guard.finish()
 }
 
 /// The analytic locality presets and the trace-replay measurements
@@ -447,7 +463,7 @@ fn per_address_replay(
     use hpceval::trace::{AccessKind, TraceCounters};
 
     let mut h = hierarchy_for(spec, opts);
-    for e in trace.chunks.iter().flat_map(|c| &c.events) {
+    for e in trace.events() {
         for addr in e.addresses() {
             h.access_rw(addr, e.kind == AccessKind::Write);
         }
@@ -488,18 +504,11 @@ proptest! {
         bursts in arb_bursts(),
         split in 0usize..48,
     ) {
-        use hpceval::trace::{replay, ChunkTrace, Region, ReplayOptions, Trace};
+        use hpceval::trace::{replay, ReplayOptions};
 
         // Two chunks, so replay also crosses a chunk boundary.
         let at = split.min(bursts.len());
-        let trace = Trace {
-            region: Region::Stream,
-            chunks: vec![
-                ChunkTrace { id: 0, events: bursts[..at].to_vec() },
-                ChunkTrace { id: 1, events: bursts[at..].to_vec() },
-            ],
-            dropped: 0,
-        };
+        let trace = captured([&bursts[..at], &bursts[at..]]);
         for spec in presets::all_servers() {
             for cache_scale in [1.0, 1.0 / 512.0, 1.0 / 2048.0] {
                 let opts = ReplayOptions { cache_scale };

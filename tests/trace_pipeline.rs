@@ -13,13 +13,13 @@ use hpceval::machine::presets;
 use hpceval::trace::{replay, CaptureConfig, Region, TraceCounters, TraceMode};
 
 /// Full capture at the reference DGEMM tile plan. The pinned values hold
-/// only there: an `HPCEVAL_SPEC` pin changes DGEMM's blocking, and with
-/// it the DGEMM trace and every R² downstream.
+/// only there: another plan changes DGEMM's blocking, and with it the
+/// DGEMM trace and every R² downstream.
 fn full() -> CaptureConfig {
     assert_eq!(
         TilePlan::active(),
         TilePlan { mc: 64, kc: 48, nc: 48 },
-        "the pins assume the reference tile plan (HPCEVAL_SPEC unset)"
+        "the pins assume the reference tile plan"
     );
     CaptureConfig { mode: TraceMode::Full, ..CaptureConfig::default() }
 }
@@ -85,7 +85,7 @@ fn per_region_trace_and_counter_digests_are_pinned() {
         .map(|region| {
             let trace = capture_kernel(region, full()).expect("full capture runs");
             let counters = replay(&trace, &spec, replay_options(region));
-            (region.name(), fnv1a(&trace.encode()), counters_digest(&counters))
+            (region.name(), fnv1a(trace.bytes()), counters_digest(&counters))
         })
         .collect();
     let rows: Vec<String> = got
