@@ -43,5 +43,12 @@ fn main() {
     }
     println!();
     println!("\npaper: b1 0.1216, b2 0.8369, b3 -0.0086, b4 -0.0077, b5 0.0875, b6 -0.0705,");
-    println!("C 2.37e-14 — b2 (instructions) dominates with b1 (cores) next, as here.");
+    println!("C 2.37e-14 — b2 (instructions) dominates with b1 (cores) next.");
+    let mut ranked: Vec<usize> = (0..b.len()).collect();
+    ranked.sort_by(|&i, &j| b[j].abs().total_cmp(&b[i].abs()));
+    let ranked: Vec<String> = ranked
+        .iter()
+        .map(|&i| format!("b{} ({}) {:.3}", i + 1, PmuCounters::FEATURE_NAMES[i], b[i]))
+        .collect();
+    println!("here, by |b|: {}.", ranked.join(", "));
 }

@@ -24,7 +24,7 @@ use hpceval_power::analysis::{ProgramWindow, TraceAnalysis, WindowStats};
 use hpceval_power::meter::{PowerTrace, Wt210};
 use hpceval_power::model::PowerModel;
 
-use hpceval_machine::roofline::PerfModel;
+use hpceval_machine::roofline::{ExecEstimate, PerfModel};
 
 /// One scheduled program run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,6 +56,80 @@ pub const GAP_S: f64 = 20.0;
 /// Per-program measurement window cap, seconds.
 pub const RUN_CAP_S: f64 = 240.0;
 
+/// A schedule laid out on the server clock: programs back to back
+/// with [`GAP_S`] idle gaps, and the piecewise ground-truth power a
+/// meter on that server samples. Shared by [`run_session`] and the
+/// streaming monitor's live source, so both meter one signal.
+#[derive(Debug, Clone)]
+pub struct SessionPlan {
+    /// Runs in schedule order.
+    pub runs: Vec<ScheduledRun>,
+    /// Roofline estimates, index-aligned with `runs`.
+    pub estimates: Vec<ExecEstimate>,
+    /// Ground-truth power between runs, W.
+    pub idle_w: f64,
+    /// The server's calibrated meter noise σ, W.
+    pub noise_sd_w: f64,
+    /// Session length: the last run's end plus one gap, s.
+    pub total_s: f64,
+}
+
+/// Lay out a schedule of `(label, signature, processes)` on `spec`.
+pub fn plan_session(
+    spec: &ServerSpec,
+    schedule: &[(String, WorkloadSignature, u32)],
+) -> SessionPlan {
+    let perf = PerfModel::new(spec.clone());
+    let power = PowerModel::new(spec.clone());
+    let mut runs = Vec::new();
+    let mut estimates = Vec::new();
+    let mut t = GAP_S;
+    for (label, sig, p) in schedule {
+        let est = perf.execute(sig, *p);
+        let watts = power.power_w(sig, &est);
+        let duration = est.time_s.clamp(30.0, RUN_CAP_S);
+        runs.push(ScheduledRun {
+            label: label.clone(),
+            start_s: t,
+            end_s: t + duration,
+            gflops: est.gflops,
+            true_power_w: watts,
+        });
+        estimates.push(est);
+        t += duration + GAP_S;
+    }
+    SessionPlan {
+        runs,
+        estimates,
+        idle_w: power.idle_w(),
+        noise_sd_w: power.calibration().noise_sd_w,
+        total_s: t,
+    }
+}
+
+impl SessionPlan {
+    /// Index of the run executing at server time `t_s` (None: idle).
+    pub fn run_at(&self, t_s: f64) -> Option<usize> {
+        self.runs.iter().position(|r| t_s >= r.start_s && t_s < r.end_s)
+    }
+
+    /// Ground-truth power at server time `t_s`, W.
+    pub fn power_w(&self, t_s: f64) -> f64 {
+        self.run_at(t_s).map_or(self.idle_w, |k| self.runs[k].true_power_w)
+    }
+
+    /// The seeded WT210 that meters this plan: the server's calibrated
+    /// noise, synchronized clocks, no dropout.
+    pub fn meter(&self, seed: u64) -> Wt210 {
+        Wt210::new(seed).with_noise(self.noise_sd_w)
+    }
+
+    /// Log the whole session, idle gaps included, on `meter`.
+    pub fn record(&self, meter: &mut Wt210) -> PowerTrace {
+        meter.record(0.0, self.total_s, |t| self.power_w(t))
+    }
+}
+
 /// Execute a schedule of `(label, signature, processes)` on `spec`,
 /// logging one continuous power trace.
 ///
@@ -67,39 +141,10 @@ pub fn run_session(
     seed: u64,
     clock_offset_s: f64,
 ) -> MeasurementSession {
-    let perf = PerfModel::new(spec.clone());
-    let power = PowerModel::new(spec.clone());
-    let idle = power.idle_w();
-    let noise = power.calibration().noise_sd_w;
-
-    // Build the piecewise power signal and the run records.
-    let mut runs = Vec::new();
-    let mut segments: Vec<(f64, f64, f64)> = Vec::new(); // (start, end, watts)
-    let mut t = GAP_S;
-    for (label, sig, p) in schedule {
-        let est = perf.execute(sig, *p);
-        let watts = power.power_w(sig, &est);
-        let duration = est.time_s.clamp(30.0, RUN_CAP_S);
-        segments.push((t, t + duration, watts));
-        runs.push(ScheduledRun {
-            label: label.clone(),
-            start_s: t,
-            end_s: t + duration,
-            gflops: est.gflops,
-            true_power_w: watts,
-        });
-        t += duration + GAP_S;
-    }
-    let total = t;
-
-    let mut meter = Wt210::new(seed).with_noise(noise).with_clock_offset(clock_offset_s);
-    let trace = meter.record(0.0, total, move |time| {
-        segments
-            .iter()
-            .find(|(s, e, _)| time >= *s && time < *e)
-            .map_or(idle, |&(_, _, w)| w)
-    });
-    MeasurementSession { runs, csv: trace.to_csv() }
+    let plan = plan_session(spec, schedule);
+    let mut meter = plan.meter(seed).with_clock_offset(clock_offset_s);
+    let csv = plan.record(&mut meter).to_csv();
+    MeasurementSession { runs: plan.runs, csv }
 }
 
 impl MeasurementSession {

@@ -216,8 +216,7 @@ impl Wt210 {
     /// Stream `duration_s` seconds of a signal `power(t)` starting at
     /// server time `start_s`, one lazy sample at a time.
     ///
-    /// This is the seam streaming consumers (the telemetry collector)
-    /// hook into: samples materialize on demand, dropouts are skipped,
+    /// Samples materialize on demand, dropouts are skipped, and
     /// noise/quantization/clock offset are applied exactly as in
     /// [`Wt210::record`], which is a `collect` of this iterator.
     pub fn stream<'a, F: Fn(f64) -> f64 + 'a>(

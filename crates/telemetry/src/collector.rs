@@ -1,18 +1,12 @@
-//! Multi-server ingestion: producer threads fanned into one consumer.
+//! Multi-server ingestion: a deterministic merge on the calling thread.
 //!
-//! Each [`SampleSource`] gets its own producer thread pushing into a
-//! bounded crossbeam channel (backpressure, not unbounded growth); the
-//! collector drains the channel on the calling thread, appends every
-//! sample into the [`SeriesStore`], converts append outcomes into
-//! [`TelemetryEvent`]s, and hands each ingested sample to a sink
-//! closure — the monitor's aggregation/learning hook. The store keeps
-//! per-server locks, so a future multi-consumer layout scales without
-//! changing this module's contract.
-
-use std::sync::Arc;
-use std::thread;
-
-use crossbeam::channel;
+//! [`collect`] pulls from every [`SampleSource`] itself: at each step
+//! it takes the source whose next sample has the earliest timestamp
+//! (ties go to the lower source index), appends it into the
+//! [`SeriesStore`], converts the append outcome into a
+//! [`TelemetryEvent`], and hands the ingested sample to a sink closure
+//! — the monitor's aggregation/learning hook. The order depends only on
+//! the sources' samples, so one input always yields one output.
 
 use crate::drift::TelemetryEvent;
 use crate::ring::{AppendOutcome, SeriesStore};
@@ -32,7 +26,7 @@ pub struct Ingest {
 /// Ingestion totals across all sources of one collection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CollectorStats {
-    /// Samples received over the channel.
+    /// Samples pulled from the sources.
     pub received: u64,
     /// Samples stored.
     pub accepted: u64,
@@ -42,66 +36,44 @@ pub struct CollectorStats {
     pub dropouts: u64,
 }
 
-/// Channel capacity per collection run: deep enough to decouple 1 Hz
-/// producers from the consumer, bounded so a stalled consumer applies
-/// backpressure instead of buffering without limit.
-pub const CHANNEL_CAPACITY: usize = 4096;
-
-/// Run a collection to completion: spawn one producer thread per
-/// source, drain every sample into `store`, and call `sink` for each
-/// ingested sample (in channel-arrival order). Returns when every
-/// source is exhausted.
-pub fn collect<F: FnMut(&Ingest)>(
-    sources: Vec<Box<dyn SampleSource>>,
-    store: &Arc<SeriesStore>,
+/// Run a collection to completion: merge every source's samples in
+/// timestamp order into `store`, and call `sink` with each ingested
+/// sample and the store it landed in. Returns when every source is
+/// exhausted.
+pub fn collect<F: FnMut(&Ingest, &SeriesStore)>(
+    mut sources: Vec<Box<dyn SampleSource>>,
+    store: &mut SeriesStore,
     mut sink: F,
 ) -> CollectorStats {
-    let (tx, rx) = channel::bounded::<TelemetrySample>(CHANNEL_CAPACITY);
-    let producers: Vec<_> = sources
-        .into_iter()
-        .map(|mut src| {
-            let tx = tx.clone();
-            thread::spawn(move || {
-                while let Some(sample) = src.next_sample() {
-                    if tx.send(sample).is_err() {
-                        break; // collector gone; stop producing
-                    }
-                }
-            })
-        })
-        .collect();
-    drop(tx); // the channel closes when the last producer finishes
-
+    let mut heads: Vec<Option<TelemetrySample>> =
+        sources.iter_mut().map(|src| src.next_sample()).collect();
     let mut stats = CollectorStats::default();
-    for sample in rx.iter() {
+    // `min_by` keeps the first of equal minima: the lower index wins.
+    while let Some(k) = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(k, head)| head.map(|s| (k, s.t_s)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(k, _)| k)
+    {
+        let sample = std::mem::replace(&mut heads[k], sources[k].next_sample())
+            .expect("the merge picks a live head");
         stats.received += 1;
         let outcome = store.append(sample.server, sample.t_s, sample.watts);
         let event = match outcome {
             AppendOutcome::Accepted { missed } => {
                 stats.accepted += 1;
-                if let Some(c) = sample.counters {
-                    store.append_counters(sample.server, sample.t_s, c);
-                }
-                if missed > 0 {
+                (missed > 0).then(|| {
                     stats.dropouts += 1;
-                    Some(TelemetryEvent::MeterDropout {
-                        server: sample.server,
-                        t_s: sample.t_s,
-                        missed,
-                    })
-                } else {
-                    None
-                }
+                    TelemetryEvent::MeterDropout { server: sample.server, t_s: sample.t_s, missed }
+                })
             }
             AppendOutcome::ClockSkew { last_t_s } => {
                 stats.rejected += 1;
                 Some(TelemetryEvent::ClockSkew { server: sample.server, t_s: sample.t_s, last_t_s })
             }
         };
-        sink(&Ingest { sample, outcome, event });
-    }
-    for p in producers {
-        let _ = p.join();
+        sink(&Ingest { sample, outcome, event }, store);
     }
     stats
 }
@@ -120,7 +92,7 @@ mod tests {
     fn fans_in_all_sources() {
         let traces: Vec<PowerTrace> = (0..4).map(|k| trace(k, 120.0, 150.0)).collect();
         let lens: Vec<usize> = traces.iter().map(PowerTrace::len).collect();
-        let store = Arc::new(SeriesStore::new(["a", "b", "c", "d"], 1024, 1.0));
+        let mut store = SeriesStore::new(["a", "b", "c", "d"], 1024, 1.0);
         let sources: Vec<Box<dyn SampleSource>> = traces
             .into_iter()
             .enumerate()
@@ -128,29 +100,28 @@ mod tests {
                 Box::new(TraceReplay::new(k, format!("s{k}"), t)) as Box<dyn SampleSource>
             })
             .collect();
-        let stats = collect(sources, &store, |_| {});
+        let stats = collect(sources, &mut store, |_, _| {});
         assert_eq!(stats.received, lens.iter().sum::<usize>() as u64);
         assert_eq!(stats.rejected, 0);
         for (k, len) in lens.iter().enumerate() {
-            assert_eq!(store.len(k), *len, "server {k} sample count");
+            assert_eq!(store.series(k).len(), *len, "server {k} sample count");
         }
     }
 
     #[test]
     fn per_server_order_is_preserved() {
-        let store = Arc::new(SeriesStore::new(["a", "b"], 4096, 1.0));
+        let mut store = SeriesStore::new(["a", "b"], 4096, 1.0);
         let sources: Vec<Box<dyn SampleSource>> = (0..2)
             .map(|k| {
                 Box::new(TraceReplay::new(k, format!("s{k}"), trace(k as u64, 600.0, 100.0)))
                     as Box<dyn SampleSource>
             })
             .collect();
-        let stats = collect(sources, &store, |_| {});
-        // Each source is already time-ordered, so nothing is skew-rejected
-        // no matter how the two streams interleave at the channel.
+        let stats = collect(sources, &mut store, |_, _| {});
+        // Each source is already time-ordered, so nothing is skew-rejected.
         assert_eq!(stats.rejected, 0);
         for k in 0..2 {
-            let w = store.window(k, 0.0, 1e9);
+            let w = store.series(k).window(0.0, 1e9);
             assert!(w.windows(2).all(|p| p[0].t_s < p[1].t_s));
         }
     }
@@ -161,16 +132,35 @@ mod tests {
         let mut samples = trace(1, 50.0, 100.0);
         let restart = trace(2, 20.0, 500.0);
         samples.samples.extend(restart.samples);
-        let store = Arc::new(SeriesStore::new(["a"], 1024, 1.0));
+        let mut store = SeriesStore::new(["a"], 1024, 1.0);
         let mut events = Vec::new();
-        let stats =
-            collect(vec![Box::new(TraceReplay::new(0, "skewed", samples))], &store, |ingest| {
-                events.extend(ingest.event)
-            });
+        let stats = collect(
+            vec![Box::new(TraceReplay::new(0, "skewed", samples))],
+            &mut store,
+            |ingest, _| events.extend(ingest.event),
+        );
         assert_eq!(stats.rejected, 21);
         assert!(events.iter().all(|e| matches!(e, TelemetryEvent::ClockSkew { .. })));
         // The 500 W restart samples never reached the store.
-        let stored = store.window(0, 0.0, 1e9);
+        let stored = store.series(0).window(0.0, 1e9);
         assert!(stored.iter().all(|s| s.watts < 200.0));
+    }
+
+    #[test]
+    fn merge_takes_the_earliest_head_and_breaks_ties_by_index() {
+        let half = |server: usize, offset: f64| {
+            let mut t = PowerTrace::new();
+            for k in 0..5 {
+                t.push(offset + k as f64, 100.0);
+            }
+            Box::new(TraceReplay::new(server, format!("s{server}"), t)) as Box<dyn SampleSource>
+        };
+        let mut store = SeriesStore::new(["a", "b", "c"], 64, 1.0);
+        let mut order = Vec::new();
+        // Source 2 runs half a second ahead of 0 and 1, which tie.
+        collect(vec![half(0, 0.5), half(1, 0.5), half(2, 0.0)], &mut store, |ingest, _| {
+            order.push(ingest.sample.server)
+        });
+        assert_eq!(order, [2, 0, 1].repeat(5));
     }
 }

@@ -8,16 +8,17 @@
 //!
 //! * [`source`] — where streams come from: [`source::SampleSource`] is
 //!   implemented by [`source::TraceReplay`] (a recorded `PowerTrace` /
-//!   WTViewer CSV played back) and [`source::LiveServer`] (a simulated
-//!   server executing a program schedule, with optional dropout and
-//!   clock-step fault injection).
-//! * [`collector`] — one producer thread per source over bounded
-//!   crossbeam channels into a single draining consumer.
+//!   WTViewer CSV played back) and [`source::LiveServer`] (the log
+//!   `run_session` records for a program schedule, plus PMU counter
+//!   deltas, with optional dropout and clock-step fault injection).
+//! * [`collector`] — a single-threaded merge of every source in
+//!   timestamp order (ties to the lower source index), so a run is
+//!   deterministic.
 //! * [`ring`] — fixed-capacity ring-buffer series per server with
 //!   monotonic-time enforcement: clock skew is rejected and counted,
-//!   cadence gaps are flagged as dropouts, appends are O(1).
-//! * [`window`] — sliding-window statistics (mean, the paper's
-//!   trim-10 % mean, min/max/p95) maintained incrementally.
+//!   cadence gaps are flagged as dropouts, appends are O(1); window
+//!   statistics (mean, the paper's trim-10 % mean, min/max/p95) are
+//!   computed from a series' tail when reported.
 //! * [`rls`] — recursive least squares over the six PMU predictors
 //!   X1–X6, converging to the batch OLS fit of
 //!   `hpceval_regression::ols` on the same data.
@@ -33,12 +34,10 @@ pub mod monitor;
 pub mod ring;
 pub mod rls;
 pub mod source;
-pub mod window;
 
 pub use collector::{collect, CollectorStats, Ingest};
 pub use drift::{DriftDetector, TelemetryEvent};
-pub use monitor::{Monitor, MonitorConfig, MonitorReport};
-pub use ring::{AppendOutcome, RingBuffer, SeriesStats, SeriesStore, ServerSeries};
+pub use monitor::{Monitor, MonitorReport};
+pub use ring::{AppendOutcome, RingBuffer, SeriesStats, SeriesStore, ServerSeries, WindowSummary};
 pub use rls::Rls;
 pub use source::{LiveServer, SampleSource, TelemetrySample, TraceReplay};
-pub use window::{SlidingWindow, WindowSummary};

@@ -1,52 +1,33 @@
 //! The end-to-end streaming monitor.
 //!
-//! Wires the four layers together: sources → collector → ring store,
-//! with per-server sliding windows, one shared online regression over
-//! the paper's six PMU predictors (X1–X6 + intercept), and per-server
-//! drift detectors. [`Monitor::run_with`] emits periodic status lines
-//! in *stream time* (deterministic — the simulation clock, not wall
-//! clock), and returns a [`MonitorReport`] with final window
-//! statistics, the learned coefficients, and every anomaly event.
-
-use std::sync::Arc;
+//! Wires the layers together: sources → collector → ring store, with
+//! per-server window statistics computed from the store at report
+//! time, one shared online regression over the paper's six PMU
+//! predictors (X1–X6 + intercept), and per-server drift detectors.
+//! [`Monitor::run_with`] emits periodic status lines in *stream time*
+//! (the simulation clock, not wall clock) on the calling thread, so a
+//! run is deterministic: the same sources print the same lines and
+//! return the same [`MonitorReport`] — final window statistics, the
+//! learned coefficients, and every anomaly event.
 
 use crate::collector::{collect, CollectorStats};
 use crate::drift::{DriftDetector, TelemetryEvent};
-use crate::ring::{SeriesStats, SeriesStore};
+use crate::ring::{AppendOutcome, SeriesStats, SeriesStore, WindowSummary};
 use crate::rls::Rls;
 use crate::source::SampleSource;
-use crate::window::{SlidingWindow, WindowSummary};
-use hpceval_power::meter::PowerSample;
 
-/// Monitor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorConfig {
-    /// Sliding-window span, seconds.
-    pub window_s: f64,
-    /// Ring capacity per server, samples.
-    pub capacity: usize,
-    /// Expected sampling interval, seconds (the paper's meter: 1 s).
-    pub interval_s: f64,
-    /// Spike threshold in baseline standard deviations.
-    pub spike_sigma: f64,
-    /// Sustained-residual threshold for model drift, watts.
-    pub drift_threshold_w: f64,
-    /// Stream-time period between status lines, seconds.
-    pub report_every_s: f64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            window_s: 60.0,
-            capacity: 16_384,
-            interval_s: 1.0,
-            spike_sigma: 6.0,
-            drift_threshold_w: 25.0,
-            report_every_s: 60.0,
-        }
-    }
-}
+/// Window span of the reported statistics, seconds.
+pub const WINDOW_S: f64 = 60.0;
+/// Ring capacity per server, samples.
+pub const CAPACITY: usize = 16_384;
+/// Expected sampling interval, seconds (the paper's meter: 1 s).
+pub const INTERVAL_S: f64 = 1.0;
+/// Spike threshold in baseline standard deviations.
+pub const SPIKE_SIGMA: f64 = 6.0;
+/// Sustained-residual threshold for model drift, watts.
+pub const DRIFT_THRESHOLD_W: f64 = 25.0;
+/// Stream-time period between status lines, seconds.
+pub const REPORT_EVERY_S: f64 = 60.0;
 
 /// Final state of one monitored server.
 #[derive(Debug, Clone)]
@@ -55,7 +36,7 @@ pub struct ServerReport {
     pub label: String,
     /// Ingestion health counters.
     pub stats: SeriesStats,
-    /// Closing sliding-window statistics (None: no samples arrived).
+    /// Closing window statistics (None: no samples arrived).
     pub window: Option<WindowSummary>,
 }
 
@@ -133,41 +114,28 @@ impl MonitorReport {
 }
 
 /// The streaming monitor.
-#[derive(Debug, Clone, Default)]
-pub struct Monitor {
-    /// Tuning knobs.
-    pub config: MonitorConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Monitor;
 
 impl Monitor {
-    /// A monitor with the given configuration.
-    pub fn new(config: MonitorConfig) -> Self {
-        Self { config }
-    }
-
     /// Run every source to exhaustion; discard status lines.
     pub fn run(&self, sources: Vec<Box<dyn SampleSource>>) -> MonitorReport {
         self.run_with(sources, |_| {})
     }
 
     /// Run every source to exhaustion, emitting a status line per
-    /// server every `report_every_s` seconds of stream time.
+    /// server every [`REPORT_EVERY_S`] seconds of stream time.
     pub fn run_with(
         &self,
         sources: Vec<Box<dyn SampleSource>>,
         mut on_line: impl FnMut(&str),
     ) -> MonitorReport {
-        let cfg = self.config;
-        let labels: Vec<String> = sources.iter().map(|s| s.label().to_string()).collect();
-        let n = labels.len();
-        let store = Arc::new(SeriesStore::new(labels.clone(), cfg.capacity, cfg.interval_s));
-
-        let mut windows: Vec<SlidingWindow> =
-            (0..n).map(|_| SlidingWindow::new(cfg.window_s)).collect();
-        let mut detectors: Vec<DriftDetector> = (0..n)
-            .map(|k| DriftDetector::new(k, cfg.spike_sigma, cfg.drift_threshold_w))
-            .collect();
-        let mut next_report: Vec<f64> = vec![cfg.report_every_s; n];
+        let n = sources.len();
+        let mut store =
+            SeriesStore::new(sources.iter().map(|s| s.label().to_string()), CAPACITY, INTERVAL_S);
+        let mut detectors: Vec<DriftDetector> =
+            (0..n).map(|k| DriftDetector::new(k, SPIKE_SIGMA, DRIFT_THRESHOLD_W)).collect();
+        let mut next_report: Vec<f64> = vec![REPORT_EVERY_S; n];
         // A live schedule visits few distinct feature vectors, and
         // reads/writes are collinear within one program — the design is
         // rank-deficient, so the monitor runs RLS with a real ridge
@@ -183,14 +151,12 @@ impl Monitor {
         let mut rms2_w = 0.0f64;
         let mut events: Vec<TelemetryEvent> = Vec::new();
 
-        let ingestion = collect(sources, &store, |ingest| {
+        let ingestion = collect(sources, &mut store, |ingest, store| {
             let s = ingest.sample;
             events.extend(ingest.event);
-            if !matches!(ingest.outcome, crate::ring::AppendOutcome::Accepted { .. }) {
+            if !matches!(ingest.outcome, AppendOutcome::Accepted { .. }) {
                 return;
             }
-            let win = &mut windows[s.server];
-            win.push(PowerSample { t_s: s.t_s, watts: s.watts });
             events.extend(detectors[s.server].observe_power(s.t_s, s.watts));
             if let Some(c) = s.counters {
                 let f = c.as_features();
@@ -217,13 +183,14 @@ impl Monitor {
                 }
             }
             if s.t_s >= next_report[s.server] {
-                next_report[s.server] = s.t_s + cfg.report_every_s;
-                if let Some(w) = win.summary() {
-                    let st = store.stats(s.server);
+                next_report[s.server] = s.t_s + REPORT_EVERY_S;
+                let series = store.series(s.server);
+                if let Some(w) = series.summary(WINDOW_S) {
+                    let st = series.stats();
                     on_line(&format!(
                         "[t={:6.0}s] {:<18} mean {:7.1} W  trim10 {:7.1} W  p95 {:7.1} W  (n={}, skew {}, dropouts {}) | model n={} rms {:5.2} W",
                         s.t_s,
-                        store.label(s.server),
+                        series.label,
                         w.mean_w,
                         w.trimmed_mean_w,
                         w.p95_w,
@@ -250,10 +217,13 @@ impl Monitor {
             }
         });
         let servers = (0..n)
-            .map(|k| ServerReport {
-                label: store.label(k),
-                stats: store.stats(k),
-                window: windows[k].summary(),
+            .map(|k| {
+                let series = store.series(k);
+                ServerReport {
+                    label: series.label.clone(),
+                    stats: series.stats(),
+                    window: series.summary(WINDOW_S),
+                }
             })
             .collect();
         MonitorReport { servers, events, model, ingestion }
@@ -294,7 +264,7 @@ mod tests {
         let sources: Vec<Box<dyn SampleSource>> =
             vec![Box::new(LiveServer::new(0, spec.name.clone(), &spec, &schedule(&spec), 11))];
         let mut lines = 0;
-        let report = Monitor::default().run_with(sources, |_| lines += 1);
+        let report = Monitor.run_with(sources, |_| lines += 1);
         assert!(lines > 0, "status lines must flow");
         assert_eq!(report.ingestion.rejected, 0);
         let model = report.model.expect("counters were streamed");
@@ -314,7 +284,7 @@ mod tests {
             Box::new(LiveServer::new(1, "droppy", &spec, &sched, 22).with_dropout(0.08)),
             Box::new(LiveServer::new(2, "skewed", &spec, &sched, 23).with_clock_jump(60.0, -7.0)),
         ];
-        let report = Monitor::default().run(sources);
+        let report = Monitor.run(sources);
         assert!(
             report
                 .events
@@ -333,5 +303,38 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("clock skew"));
         assert!(rendered.contains("dropout"));
+    }
+
+    #[test]
+    fn runs_with_injected_faults_are_deterministic() {
+        // The CLI's three-source demo at seed 7: clean, dropout, clock step.
+        use hpceval_kernels::hpl::HplConfig;
+        let spec = presets::xeon_e5462();
+        let full = spec.total_cores();
+        let mut sched = schedule(&spec);
+        sched.push((
+            format!("HPL P{full}"),
+            HplConfig::for_memory_fraction(&spec, 0.92, full).signature(),
+            full,
+        ));
+        let run = || {
+            let sources: Vec<Box<dyn SampleSource>> = vec![
+                Box::new(LiveServer::new(0, "clean", &spec, &sched, 7)),
+                Box::new(LiveServer::new(1, "dropout", &spec, &sched, 8).with_dropout(0.05)),
+                Box::new(
+                    LiveServer::new(2, "clock-step", &spec, &sched, 9).with_clock_jump(90.0, -6.0),
+                ),
+            ];
+            let mut lines = Vec::new();
+            let report = Monitor.run_with(sources, |line| lines.push(line.to_string()));
+            (lines, report)
+        };
+        let (lines_a, a) = run();
+        let (lines_b, b) = run();
+        assert!(a.servers[1].stats.dropout_events > 0, "dropout must be reported");
+        assert!(a.servers[2].stats.clock_skew_rejects > 0, "clock step must be reported");
+        assert!(!lines_a.is_empty());
+        assert_eq!(lines_a, lines_b);
+        assert_eq!(a.render(), b.render());
     }
 }

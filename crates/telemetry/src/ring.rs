@@ -3,18 +3,18 @@
 //! The paper's pipeline keeps every sample of a session in memory and
 //! analyzes afterwards; a long-running monitor cannot. [`RingBuffer`]
 //! bounds memory per server: appends are O(1), and once full the oldest
-//! sample is evicted. [`SeriesStore`] holds one power series and one
-//! PMU-counter series per registered server behind `parking_lot`
-//! mutexes, enforcing the same strictly-ascending-time invariant as
-//! `PowerTrace` — but instead of panicking it *counts and reports*
-//! clock-skew rejections and sampling dropouts, because on a live fleet
-//! a broken meter is an event to surface, not a reason to crash.
+//! sample is evicted. [`SeriesStore`] holds one power series per
+//! registered server, enforcing the same strictly-ascending-time
+//! invariant as `PowerTrace` — but instead of panicking it *counts and
+//! reports* clock-skew rejections and sampling dropouts, because on a
+//! live fleet a broken meter is an event to surface, not a reason to
+//! crash. [`ServerSeries::summary`] computes the window statistics the
+//! monitor reports from the tail of that series.
 
 use std::collections::VecDeque;
 
-use hpceval_machine::pmu::PmuCounters;
+use hpceval_power::analysis::trimmed_stats;
 use hpceval_power::meter::PowerSample;
-use parking_lot::Mutex;
 
 /// Bounded FIFO over `T`: O(1) append with eviction once full.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ impl<T> RingBuffer<T> {
     }
 
     /// Oldest-to-newest iteration.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> {
         self.buf.iter()
     }
 
@@ -107,13 +107,51 @@ pub struct SeriesStats {
     pub evicted: u64,
 }
 
+/// Statistics over the trailing window of one server's series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowSummary {
+    /// Arithmetic mean, watts.
+    pub mean_w: f64,
+    /// Mean after trimming 10 % from each *end in time order* (the
+    /// paper's §V-C2 cut of ramp-up/tear-down transients).
+    pub trimmed_mean_w: f64,
+    /// Smallest sample, watts.
+    pub min_w: f64,
+    /// Largest sample, watts.
+    pub max_w: f64,
+    /// 95th percentile (nearest-rank), watts.
+    pub p95_w: f64,
+    /// Samples in the window.
+    pub samples: usize,
+}
+
+impl WindowSummary {
+    /// Statistics over `window` (time-ordered), or `None` when empty.
+    /// The trimmed mean is `trimmed_stats`' — the offline analyzer's.
+    fn of(window: &[PowerSample]) -> Option<Self> {
+        let trimmed = trimmed_stats(window, 0.10)?;
+        let n = window.len();
+        let mut sorted: Vec<f64> = window.iter().map(|s| s.watts).collect();
+        let mean_w = sorted.iter().sum::<f64>() / n as f64;
+        sorted.sort_by(f64::total_cmp);
+        let p95_idx = ((0.95 * n as f64).ceil() as usize).clamp(1, n) - 1;
+        Some(Self {
+            mean_w,
+            trimmed_mean_w: trimmed.mean_w,
+            min_w: sorted[0],
+            max_w: sorted[n - 1],
+            p95_w: sorted[p95_idx],
+            samples: n,
+        })
+    }
+}
+
 /// One server's stored telemetry.
 #[derive(Debug)]
 pub struct ServerSeries {
     /// Display label.
     pub label: String,
     power: RingBuffer<PowerSample>,
-    counters: RingBuffer<(f64, PmuCounters)>,
     stats: SeriesStats,
     expected_interval_s: f64,
 }
@@ -123,9 +161,6 @@ impl ServerSeries {
         Self {
             label,
             power: RingBuffer::new(capacity),
-            // Counters arrive at the paper's 10 s cadence — one slot per
-            // ten power samples keeps the two series time-aligned.
-            counters: RingBuffer::new(capacity.div_ceil(10).max(16)),
             stats: SeriesStats::default(),
             expected_interval_s: expected_interval_s.max(f64::MIN_POSITIVE),
         }
@@ -158,23 +193,19 @@ impl ServerSeries {
         AppendOutcome::Accepted { missed }
     }
 
-    /// Append one PMU counter delta stamped at `t_s`.
-    pub fn append_counters(&mut self, t_s: f64, counters: PmuCounters) {
-        self.counters.push((t_s, counters));
-    }
-
     /// Stored power samples within `[from_s, to_s)`, oldest first.
     pub fn window(&self, from_s: f64, to_s: f64) -> Vec<PowerSample> {
         self.power.iter().filter(|s| s.t_s >= from_s && s.t_s < to_s).copied().collect()
     }
 
-    /// Stored counter deltas within `[from_s, to_s)`.
-    pub fn counter_window(&self, from_s: f64, to_s: f64) -> Vec<(f64, PmuCounters)> {
-        self.counters
-            .iter()
-            .filter(|(t, _)| *t >= from_s && *t < to_s)
-            .copied()
-            .collect()
+    /// Statistics over the stored samples newer than `span_s` seconds
+    /// before the newest one, or `None` when nothing is stored.
+    pub fn summary(&self, span_s: f64) -> Option<WindowSummary> {
+        let horizon = self.power.last()?.t_s - span_s;
+        let mut tail: Vec<PowerSample> =
+            self.power.iter().rev().take_while(|s| s.t_s > horizon).copied().collect();
+        tail.reverse();
+        WindowSummary::of(&tail)
     }
 
     /// Ingestion health counters.
@@ -191,18 +222,12 @@ impl ServerSeries {
     pub fn is_empty(&self) -> bool {
         self.power.is_empty()
     }
-
-    /// The newest stored power sample.
-    pub fn last(&self) -> Option<PowerSample> {
-        self.power.last().copied()
-    }
 }
 
-/// Per-server telemetry store: one locked [`ServerSeries`] per server,
-/// so concurrent producers on different servers never contend.
+/// Per-server telemetry store: one [`ServerSeries`] per server.
 #[derive(Debug)]
 pub struct SeriesStore {
-    series: Vec<Mutex<ServerSeries>>,
+    series: Vec<ServerSeries>,
 }
 
 impl SeriesStore {
@@ -217,54 +242,19 @@ impl SeriesStore {
         Self {
             series: labels
                 .into_iter()
-                .map(|l| Mutex::new(ServerSeries::new(l.into(), capacity, expected_interval_s)))
+                .map(|l| ServerSeries::new(l.into(), capacity, expected_interval_s))
                 .collect(),
         }
     }
 
-    /// Number of registered servers.
-    pub fn servers(&self) -> usize {
-        self.series.len()
+    /// The series of `server`.
+    pub fn series(&self, server: usize) -> &ServerSeries {
+        &self.series[server]
     }
 
     /// Append a power sample for `server`.
-    pub fn append(&self, server: usize, t_s: f64, watts: f64) -> AppendOutcome {
-        self.series[server].lock().append(t_s, watts)
-    }
-
-    /// Append a PMU counter delta for `server`.
-    pub fn append_counters(&self, server: usize, t_s: f64, counters: PmuCounters) {
-        self.series[server].lock().append_counters(t_s, counters);
-    }
-
-    /// Power samples of `server` within `[from_s, to_s)`.
-    pub fn window(&self, server: usize, from_s: f64, to_s: f64) -> Vec<PowerSample> {
-        self.series[server].lock().window(from_s, to_s)
-    }
-
-    /// Counter deltas of `server` within `[from_s, to_s)`.
-    pub fn counter_window(&self, server: usize, from_s: f64, to_s: f64) -> Vec<(f64, PmuCounters)> {
-        self.series[server].lock().counter_window(from_s, to_s)
-    }
-
-    /// Ingestion health counters of `server`.
-    pub fn stats(&self, server: usize) -> SeriesStats {
-        self.series[server].lock().stats()
-    }
-
-    /// Display label of `server`.
-    pub fn label(&self, server: usize) -> String {
-        self.series[server].lock().label.clone()
-    }
-
-    /// Stored sample count of `server`.
-    pub fn len(&self, server: usize) -> usize {
-        self.series[server].lock().len()
-    }
-
-    /// True when `server` holds no samples.
-    pub fn is_empty(&self, server: usize) -> bool {
-        self.series[server].lock().is_empty()
+    pub fn append(&mut self, server: usize, t_s: f64, watts: f64) -> AppendOutcome {
+        self.series[server].append(t_s, watts)
     }
 }
 
@@ -310,15 +300,89 @@ mod tests {
 
     #[test]
     fn store_windows_per_server() {
-        let store = SeriesStore::new(["a", "b"], 128, 1.0);
+        let mut store = SeriesStore::new(["a", "b"], 128, 1.0);
         for k in 0..10 {
             store.append(0, f64::from(k), 100.0);
             store.append(1, f64::from(k), 200.0);
         }
-        let w = store.window(0, 2.0, 5.0);
+        let w = store.series(0).window(2.0, 5.0);
         assert_eq!(w.len(), 3);
         assert!(w.iter().all(|s| s.watts == 100.0));
-        assert_eq!(store.window(1, 2.0, 5.0).len(), 3);
-        assert_eq!(store.label(1), "b");
+        assert_eq!(store.series(1).window(2.0, 5.0).len(), 3);
+        assert_eq!(store.series(1).label, "b");
+    }
+
+    fn sample(t: f64, w: f64) -> PowerSample {
+        PowerSample { t_s: t, watts: w }
+    }
+
+    #[test]
+    fn summary_matches_brute_force_recompute() {
+        // A small ring, so the tail is also checked across eviction; the
+        // 0.5 s cadence puts a sample exactly on each window's horizon.
+        let mut series = ServerSeries::new("srv".into(), 64, 0.5);
+        let mut all: Vec<PowerSample> = Vec::new();
+        let mut x = 42u64;
+        let mut rnd = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        for k in 0..200 {
+            let s = sample(k as f64 * 0.5, 100.0 + 50.0 * rnd());
+            series.append(s.t_s, s.watts);
+            all.push(s);
+            let horizon = s.t_s - 10.0;
+            let expect: Vec<f64> =
+                all.iter().filter(|p| p.t_s > horizon).map(|p| p.watts).collect();
+            let got = series.summary(10.0).unwrap();
+            assert_eq!(got.samples, expect.len());
+            let mean = expect.iter().sum::<f64>() / expect.len() as f64;
+            assert!((got.mean_w - mean).abs() < 1e-9);
+            let cut = hpceval_power::analysis::trim_cut(expect.len(), 0.10);
+            let kept = &expect[cut..expect.len() - cut];
+            let trimmed = kept.iter().sum::<f64>() / kept.len() as f64;
+            assert!((got.trimmed_mean_w - trimmed).abs() < 1e-9);
+            let mut sorted = expect.clone();
+            sorted.sort_by(f64::total_cmp);
+            assert_eq!(got.min_w, sorted[0]);
+            assert_eq!(got.max_w, sorted[sorted.len() - 1]);
+            let idx = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+            assert_eq!(got.p95_w, sorted[idx]);
+        }
+    }
+
+    #[test]
+    fn trimmed_mean_matches_offline_window_stats() {
+        use hpceval_power::analysis::{ProgramWindow, TraceAnalysis};
+        use hpceval_power::meter::PowerTrace;
+        let mut trace = PowerTrace::new();
+        let mut series = ServerSeries::new("srv".into(), 128, 1.0);
+        // Ramp – plateau – ramp, like a program window.
+        for k in 0..50 {
+            let w = if k < 10 {
+                50.0 + 5.0 * k as f64
+            } else if k >= 40 {
+                100.0 - 5.0 * (k - 40) as f64
+            } else {
+                100.0
+            };
+            trace.push(k as f64, w);
+            series.append(k as f64, w);
+        }
+        let offline = TraceAnalysis::new(trace)
+            .analyze(ProgramWindow { start_s: 0.0, end_s: 50.0 })
+            .unwrap();
+        let online = series.summary(50.0).unwrap();
+        assert_eq!(online.samples, offline.raw_samples);
+        assert_eq!(online.trimmed_mean_w, offline.mean_w);
+    }
+
+    #[test]
+    fn empty_series_has_no_summary() {
+        let mut series = ServerSeries::new("srv".into(), 16, 1.0);
+        assert!(series.summary(5.0).is_none());
+        series.append(0.0, 42.0);
+        let s = series.summary(5.0).unwrap();
+        assert_eq!((s.samples, s.mean_w, s.trimmed_mean_w, s.p95_w), (1, 42.0, 42.0, 42.0));
     }
 }

@@ -4,21 +4,17 @@
 //! the paper's two data paths. [`TraceReplay`] streams a recorded
 //! `PowerTrace` (a WTViewer CSV read back, or a `Wt210` recording) —
 //! the §V-C2 offline pipeline replayed through the online one.
-//! [`LiveServer`] generates the stream a meter on a running
-//! [`SimulatedServer`](hpceval_core::server::SimulatedServer) would
-//! produce: a scheduled sequence of programs with idle gaps, 1 Hz noisy
-//! quantized power samples, PMU counter deltas at the paper's 10 s
-//! cadence, and optional failure injections (sample dropout, a clock
-//! stepping backwards mid-run) for exercising the detectors.
+//! [`LiveServer`] streams the session `run_session` would log for the
+//! same schedule and seed — the same plan and the same seeded WT210 —
+//! plus PMU counter deltas at the paper's 10 s cadence and optional
+//! failure injections (meter dropout, a clock stepping backwards
+//! mid-run) for exercising the detectors.
 
-use hpceval_core::server::SimulatedServer;
-use hpceval_core::session::{GAP_S, RUN_CAP_S};
+use hpceval_core::session::{plan_session, SessionPlan};
 use hpceval_machine::pmu::{PmuCounters, PmuRates};
 use hpceval_machine::spec::ServerSpec;
 use hpceval_machine::workload::WorkloadSignature;
-use hpceval_power::meter::PowerTrace;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hpceval_power::meter::{PowerSample, PowerTrace, Wt210};
 
 /// PMU counter cadence in power-sample intervals (the paper samples
 /// counters every 10 s against a 1 s meter).
@@ -39,7 +35,7 @@ pub struct TelemetrySample {
 }
 
 /// A stream of telemetry samples from one server.
-pub trait SampleSource: Send {
+pub trait SampleSource {
     /// The server index samples of this source are stored under.
     fn server(&self) -> usize;
     /// Display label.
@@ -53,7 +49,7 @@ pub trait SampleSource: Send {
 pub struct TraceReplay {
     server: usize,
     label: String,
-    samples: std::vec::IntoIter<hpceval_power::meter::PowerSample>,
+    samples: std::vec::IntoIter<PowerSample>,
 }
 
 impl TraceReplay {
@@ -78,38 +74,27 @@ impl SampleSource for TraceReplay {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Segment {
-    start_s: f64,
-    end_s: f64,
-    watts: f64,
-    rates: PmuRates,
-}
-
 /// Live stream from a simulated server running a program schedule.
 #[derive(Debug)]
 pub struct LiveServer {
     server: usize,
     label: String,
-    interval_s: f64,
-    noise_sd_w: f64,
-    resolution_w: f64,
-    dropout_prob: f64,
+    plan: SessionPlan,
+    /// PMU counter rates, index-aligned with `plan.runs`.
+    rates: Vec<PmuRates>,
+    meter: Wt210,
+    /// The meter's log, recorded on the first pull.
+    samples: Option<std::vec::IntoIter<PowerSample>>,
     /// At `clock_jump_at_s` the stream's clock steps by `clock_jump_s`
     /// (negative = backwards, i.e. a failed re-sync).
     clock_jump_at_s: f64,
     clock_jump_s: f64,
-    rng: StdRng,
-    idle_w: f64,
-    segments: Vec<Segment>,
-    steps: u64,
-    k: u64,
 }
 
 impl LiveServer {
-    /// A server executing `schedule` (label, signature, processes)
-    /// back-to-back with the session layer's idle gaps, metered at 1 Hz
-    /// with the power model's calibrated noise.
+    /// A server executing `schedule` (label, signature, processes) as
+    /// [`run_session`](hpceval_core::session::run_session) lays it out,
+    /// metered by the same seeded WT210.
     pub fn new(
         server: usize,
         label: impl Into<String>,
@@ -117,40 +102,27 @@ impl LiveServer {
         schedule: &[(String, WorkloadSignature, u32)],
         seed: u64,
     ) -> Self {
-        let srv = SimulatedServer::with_seed(spec.clone(), seed);
-        let noise_sd_w = srv.power_model().calibration().noise_sd_w;
-        let idle_w = srv.power_model().idle_w();
-        let mut segments = Vec::new();
-        let mut t = GAP_S;
-        for (_, sig, p) in schedule {
-            let est = srv.estimate(sig, *p);
-            let watts = srv.true_power_w(sig, &est);
-            let rates = srv.pmu_rates(sig, &est);
-            let duration = est.time_s.clamp(30.0, RUN_CAP_S);
-            segments.push(Segment { start_s: t, end_s: t + duration, watts, rates });
-            t += duration + GAP_S;
-        }
-        let interval_s = 1.0;
+        let plan = plan_session(spec, schedule);
+        let rates = schedule
+            .iter()
+            .zip(&plan.estimates)
+            .map(|((_, sig, _), est)| PmuRates::synthesize(spec, sig, est))
+            .collect();
         Self {
             server,
             label: label.into(),
-            interval_s,
-            noise_sd_w,
-            resolution_w: 0.01,
-            dropout_prob: 0.0,
+            meter: plan.meter(seed),
+            plan,
+            rates,
+            samples: None,
             clock_jump_at_s: f64::INFINITY,
             clock_jump_s: 0.0,
-            rng: StdRng::seed_from_u64(seed ^ 0x7e1e_6e7a),
-            idle_w,
-            segments,
-            steps: (t / interval_s).floor() as u64,
-            k: 0,
         }
     }
 
-    /// Inject sample dropout with probability `p` per sample.
+    /// Inject meter dropout with probability `p` per sample.
     pub fn with_dropout(mut self, p: f64) -> Self {
-        self.dropout_prob = p.clamp(0.0, 1.0);
+        self.meter = self.meter.with_dropout(p);
         self
     }
 
@@ -164,19 +136,12 @@ impl LiveServer {
 
     /// Total stream duration, seconds.
     pub fn duration_s(&self) -> f64 {
-        self.steps as f64 * self.interval_s
+        (self.plan.total_s / self.meter.interval_s).floor() * self.meter.interval_s
     }
 
     /// The scheduled program windows `(start_s, end_s, true_watts)`.
     pub fn schedule_windows(&self) -> Vec<(f64, f64, f64)> {
-        self.segments.iter().map(|s| (s.start_s, s.end_s, s.watts)).collect()
-    }
-
-    fn active(&self, t: f64) -> (f64, Option<PmuRates>) {
-        match self.segments.iter().find(|s| t >= s.start_s && t < s.end_s) {
-            Some(seg) => (seg.watts, Some(seg.rates)),
-            None => (self.idle_w, None),
-        }
+        self.plan.runs.iter().map(|r| (r.start_s, r.end_s, r.true_power_w)).collect()
     }
 }
 
@@ -190,47 +155,25 @@ impl SampleSource for LiveServer {
     }
 
     fn next_sample(&mut self) -> Option<TelemetrySample> {
-        loop {
-            if self.k > self.steps {
-                return None;
+        let (plan, meter) = (&self.plan, &mut self.meter);
+        let s = self
+            .samples
+            .get_or_insert_with(|| plan.record(meter).samples.into_iter())
+            .next()?;
+        // The meter's clock is synchronized, so t_s is the server time
+        // of the sample's step. A dropped sample loses its counter
+        // delta too — the hole the collector's cadence check flags.
+        let interval_s = self.meter.interval_s;
+        let step = (s.t_s / interval_s).round() as u64;
+        let counters = (step > 0 && step.is_multiple_of(COUNTER_CADENCE)).then(|| {
+            match self.plan.run_at(s.t_s) {
+                Some(k) => self.rates[k].sample(COUNTER_CADENCE as f64 * interval_s),
+                None => PmuCounters::default(), // idle: nothing retires
             }
-            let step = self.k;
-            self.k += 1;
-            let t = step as f64 * self.interval_s;
-            let carries_counters = step > 0 && step.is_multiple_of(COUNTER_CADENCE);
-            // Dropped samples lose their counter delta too — exactly the
-            // hole the collector's cadence check must flag.
-            if self.dropout_prob > 0.0 && self.rng.random::<f64>() < self.dropout_prob {
-                continue;
-            }
-            let (truth, seg) = self.active(t);
-            // Same measurement chain as Wt210: white noise + slow
-            // thermal wander, quantized to the meter resolution.
-            let wander = self.noise_sd_w * 1.5 * (t * 0.013).sin();
-            let noise = gaussian(&mut self.rng) * self.noise_sd_w;
-            let watts = (((truth + wander + noise) / self.resolution_w).round()
-                * self.resolution_w)
-                .max(0.0);
-            let counters = if carries_counters {
-                let dt = COUNTER_CADENCE as f64 * self.interval_s;
-                Some(match seg {
-                    Some(rates) => rates.sample(dt),
-                    None => PmuCounters::default(), // idle: nothing retires
-                })
-            } else {
-                None
-            };
-            let t_s = if t >= self.clock_jump_at_s { t + self.clock_jump_s } else { t };
-            return Some(TelemetrySample { server: self.server, t_s, watts, counters });
-        }
+        });
+        let t_s = if s.t_s >= self.clock_jump_at_s { s.t_s + self.clock_jump_s } else { s.t_s };
+        Some(TelemetrySample { server: self.server, t_s, watts: s.watts, counters })
     }
-}
-
-/// Standard normal via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -254,7 +197,7 @@ mod tests {
 
     #[test]
     fn replay_streams_every_trace_sample() {
-        let mut meter = hpceval_power::meter::Wt210::new(3).with_noise(1.0);
+        let mut meter = Wt210::new(3).with_noise(1.0);
         let trace = meter.record(0.0, 60.0, |_| 150.0);
         let n = trace.len();
         let out = drain(TraceReplay::new(2, "replay", trace.clone()));
@@ -283,6 +226,30 @@ mod tests {
             .collect();
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
         assert!((mean - watts).abs() < watts * 0.05, "mean {mean} vs truth {watts}");
+    }
+
+    #[test]
+    fn live_server_logs_what_run_session_logs() {
+        use hpceval_core::session::run_session;
+        use hpceval_kernels::hpl::HplConfig;
+        use hpceval_kernels::suite::Benchmark;
+        for (spec, seed) in
+            [(presets::xeon_e5462(), 7), (presets::opteron_8347(), 42), (presets::xeon_4870(), 5)]
+        {
+            let full = spec.total_cores();
+            let mut schedule = ep_schedule(&spec);
+            schedule.push((
+                format!("HPL P{full}"),
+                HplConfig::for_memory_fraction(&spec, 0.92, full).signature(),
+                full,
+            ));
+            let mut live = PowerTrace::new();
+            for s in drain(LiveServer::new(0, "live", &spec, &schedule, seed)) {
+                live.push(s.t_s, s.watts);
+            }
+            let session = run_session(&spec, &schedule, seed, 0.0);
+            assert_eq!(live.to_csv(), session.csv, "{} seed {seed}", spec.name);
+        }
     }
 
     #[test]

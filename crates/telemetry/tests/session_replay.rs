@@ -4,8 +4,6 @@
 //! `TraceAnalysis` path — the streaming system is a superset of the
 //! paper's batch pipeline, not a different analysis.
 
-use std::sync::Arc;
-
 use hpceval_core::session::run_session;
 use hpceval_kernels::hpl::HplConfig;
 use hpceval_kernels::npb::{ep::Ep, Class};
@@ -37,16 +35,16 @@ fn collector_replay_matches_offline_trace_analysis() {
     // ring store, then windowed out of the store.
     let trace = PowerTrace::from_csv(&session.csv).expect("session CSV parses");
     let n_samples = trace.len();
-    let store = Arc::new(SeriesStore::new([spec.name.as_str()], n_samples.max(1), 1.0));
+    let mut store = SeriesStore::new([spec.name.as_str()], n_samples.max(1), 1.0);
     let sources: Vec<Box<dyn SampleSource>> =
         vec![Box::new(TraceReplay::new(0, "session-replay", trace))];
-    let stats = collect(sources, &store, |_| {});
+    let stats = collect(sources, &mut store, |_, _| {});
     assert_eq!(stats.received, n_samples as u64);
     assert_eq!(stats.rejected, 0, "a recorded session is time-ordered");
 
     assert_eq!(offline.len(), schedule.len());
     for (run, batch_stats) in &offline {
-        let window = store.window(0, run.start_s, run.end_s);
+        let window = store.series(0).window(run.start_s, run.end_s);
         let streamed = trimmed_stats(&window, 0.10)
             .unwrap_or_else(|| panic!("empty streamed window for {}", run.label));
         assert_eq!(
@@ -78,14 +76,15 @@ fn replay_with_clock_offset_still_matches_its_own_offline_analysis() {
 
     let trace = PowerTrace::from_csv(&session.csv).expect("CSV parses");
     let capacity = trace.len().max(1);
-    let store = Arc::new(SeriesStore::new(["opteron"], capacity, 1.0));
+    let mut store = SeriesStore::new(["opteron"], capacity, 1.0);
     collect(
         vec![Box::new(TraceReplay::new(0, "offset-replay", trace)) as Box<dyn SampleSource>],
-        &store,
-        |_| {},
+        &mut store,
+        |_, _| {},
     );
     for (run, batch_stats) in &offline {
-        let streamed = trimmed_stats(&store.window(0, run.start_s, run.end_s), 0.10).unwrap();
+        let streamed =
+            trimmed_stats(&store.series(0).window(run.start_s, run.end_s), 0.10).unwrap();
         assert_eq!(streamed.samples, batch_stats.samples);
         assert!((streamed.mean_w - batch_stats.mean_w).abs() < 1e-12);
     }

@@ -58,17 +58,8 @@ fn main() -> ExitCode {
         }),
         Some("cluster") => with_server(&args, cluster),
         Some("study") => with_server(&args, study),
-        Some("train") => match args.get(1) {
-            None => train(42),
-            Some(raw) => match raw.parse() {
-                Ok(seed) => train(seed),
-                Err(_) => {
-                    eprintln!("seed must be an integer, got {raw:?}");
-                    ExitCode::FAILURE
-                }
-            },
-        },
-        Some("monitor") => with_server(&args, |s| monitor(s, parse_seed(&args, 2))),
+        Some("train") => with_seed(args.get(1), train),
+        Some("monitor") => with_server(&args, |s| with_seed(args.get(2), |seed| monitor(s, seed))),
         Some("verify") => verify(),
         Some("trace") => trace_cmd(&args[1..]),
         Some("fleet") => fleet_cmd(&args[1..]),
@@ -97,6 +88,19 @@ fn with_server(args: &[String], f: impl Fn(ServerSpec) -> ExitCode) -> ExitCode 
         Some(spec) => f(spec),
         None => {
             eprintln!("unknown server {name:?}; try `hpceval servers`");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Run `f` with the seed argument (42 when absent); a malformed seed is
+/// an error, never a silent default.
+fn with_seed(raw: Option<&String>, f: impl FnOnce(u64) -> ExitCode) -> ExitCode {
+    match raw.map(|raw| raw.parse().map_err(|_| raw)) {
+        None => f(42),
+        Some(Ok(seed)) => f(seed),
+        Some(Err(raw)) => {
+            eprintln!("seed must be an integer, got {raw:?}");
             ExitCode::FAILURE
         }
     }
@@ -169,10 +173,6 @@ fn train(seed: u64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_seed(args: &[String], idx: usize) -> u64 {
-    args.get(idx).and_then(|raw| raw.parse().ok()).unwrap_or(42)
-}
-
 fn monitor(spec: ServerSpec, seed: u64) -> ExitCode {
     use hpceval::telemetry::{LiveServer, Monitor, SampleSource};
 
@@ -189,12 +189,24 @@ fn monitor(spec: ServerSpec, seed: u64) -> ExitCode {
     let sources: Vec<Box<dyn SampleSource>> = vec![
         Box::new(LiveServer::new(0, format!("{}/clean", spec.name), &spec, &schedule, seed)),
         Box::new(
-            LiveServer::new(1, format!("{}/dropout", spec.name), &spec, &schedule, seed + 1)
-                .with_dropout(0.05),
+            LiveServer::new(
+                1,
+                format!("{}/dropout", spec.name),
+                &spec,
+                &schedule,
+                seed.wrapping_add(1),
+            )
+            .with_dropout(0.05),
         ),
         Box::new(
-            LiveServer::new(2, format!("{}/clock-step", spec.name), &spec, &schedule, seed + 2)
-                .with_clock_jump(90.0, -6.0),
+            LiveServer::new(
+                2,
+                format!("{}/clock-step", spec.name),
+                &spec,
+                &schedule,
+                seed.wrapping_add(2),
+            )
+            .with_clock_jump(90.0, -6.0),
         ),
     ];
     println!(
@@ -202,7 +214,7 @@ fn monitor(spec: ServerSpec, seed: u64) -> ExitCode {
         schedule.len(),
         spec.name
     );
-    let report = Monitor::default().run_with(sources, |line| println!("{line}"));
+    let report = Monitor.run_with(sources, |line| println!("{line}"));
     print!("{}", report.render());
     // Injections that go undetected are a monitor failure, not a pass.
     let skew_seen = report.servers[2].stats.clock_skew_rejects > 0;

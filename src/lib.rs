@@ -15,8 +15,8 @@
 //! * [`regression`] — forward-stepwise multiple linear regression.
 //! * [`core`] — the paper's contribution: the HPL+EP five-state power
 //!   evaluation method and the HPCC-trained power regression model.
-//! * [`telemetry`] — the streaming extension: multi-server sample
-//!   ingestion, ring-buffer storage, incremental window statistics and
+//! * [`telemetry`] — the streaming extension: a deterministic merge of
+//!   multi-server samples, ring-buffer storage, window statistics and
 //!   online (RLS) model training with drift/anomaly detection.
 //! * [`fleet`] — fault-tolerant orchestration: a daemon with a
 //!   write-ahead-logged job queue, per-state checkpointing, fault

@@ -62,6 +62,23 @@ fn unknown_server_still_fails_cleanly() {
 }
 
 #[test]
+fn monitor_rejects_a_malformed_seed() {
+    let out = hpceval(&["monitor", "xeon-e5462", "banana"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("seed must be an integer"), "{}", stderr(&out));
+}
+
+#[test]
+fn monitor_takes_the_largest_seed_and_repeats_itself() {
+    // The per-source seeds are seed, seed+1 and seed+2, wrapping.
+    let max = u64::MAX.to_string();
+    let a = hpceval(&["monitor", "xeon-e5462", &max]);
+    assert!(a.status.success(), "{}", stderr(&a));
+    let b = hpceval(&["monitor", "xeon-e5462", &max]);
+    assert_eq!(a.stdout, b.stdout, "one seed, one output");
+}
+
+#[test]
 fn servers_listing_succeeds() {
     let out = hpceval(&["servers"]);
     assert!(out.status.success());
