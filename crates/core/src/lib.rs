@@ -24,7 +24,7 @@
 //!   forward-stepwise regression (Tables VII–VIII) validated on NPB
 //!   classes B and C (Figs 12–13).
 //! * [`trace_experiment`] — the trace-driven variant: instrumented
-//!   kernels captured as sampled address traces, replayed through the
+//!   kernels captured as full address traces, replayed through the
 //!   simulated cache hierarchy, and the measured locality profiles fed
 //!   back into the same train/validate pipeline.
 //! * [`jobs`] — job-shaped wrappers around the evaluation entry points:

@@ -24,8 +24,9 @@
 //!    on the paper's hardware (DESIGN.md §2).
 
 // Unsafe is denied everywhere except the SIMD micro-kernel layer
-// (`simd`), which opts back in for `core::arch` intrinsics behind
-// runtime feature detection and a bitwise scalar-equivalence contract.
+// (`simd`), which opts back in to call AVX2 code (the `target_feature`
+// twins and the butterfly's `core::arch` intrinsics) behind runtime
+// feature detection and a bitwise scalar-equivalence contract.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Index-based loops over matrix rows/columns are the idiom of numeric

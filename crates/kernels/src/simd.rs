@@ -4,9 +4,21 @@
 //! Every flop-dominated hot loop in this crate (DGEMM's packed-B tile
 //! kernel, the HPL trailing update, STREAM's four ops, CG's axpy and
 //! fixed-chunk dots, MG's stencil sweeps, the FFT butterfly) funnels
-//! through the span operations in this module. There are two
-//! implementations: `scalar` (the *reference semantics*) and `avx2`
-//! (4-lane f64), which reproduces the scalar loop bit for bit.
+//! through the span operations in this module. Each op has **one
+//! body**, written in plain Rust, which the `twin!` macro compiles
+//! twice: an out-of-line scalar entry built for the baseline target
+//! (the *reference semantics*) and an AVX2 twin built under
+//! `#[target_feature(enable = "avx2")]`, which LLVM vectorizes to
+//! 4-lane `f64`. The bodies are shaped so that it can: operands are
+//! zipped or re-sliced to one length, so no bounds check is left in a
+//! loop, and fixed-width lane loops over `chunks_exact` groups keep
+//! [`dot`]'s accumulators and [`tile_row_update`]'s C row in registers.
+//!
+//! The FFT [`butterfly`] is the one op with a hand-written `core::arch`
+//! body. Its complexes are interleaved `[re, im]` pairs; every scalar
+//! form of the complex multiply compiled for AVX2 deinterleaves them
+//! through `vperm2f128`/`vunpck` shuffles and ran about 2.8× slower
+//! than the in-place `addsub` form in a microbenchmark.
 //!
 //! # The determinism contract
 //!
@@ -14,19 +26,21 @@
 //! determinism guarantee of the executor (DESIGN.md §10) extends across
 //! instruction sets:
 //!
-//! * Element-wise operations use separate per-lane multiplies and adds
-//!   in the exact association order of the scalar loop — never FMA
-//!   contraction, whose single rounding would diverge from the two
-//!   roundings of `mul` + `add`. An IEEE-754 lane op equals the scalar
-//!   op on the same operands, so any vector/tail split point yields
-//!   the same bits.
+//! * Rust never contracts `mul` + `add` into FMA (whose single rounding
+//!   would diverge from the two roundings of `mul` + `add`), and LLVM
+//!   never reassociates floating-point operations, so the vectorized
+//!   twin performs each element's operations in the body's source
+//!   order. An IEEE-754 lane op equals the scalar op on the same
+//!   operands, so any vector/tail split point yields the same bits.
 //! * Reductions ([`dot`]) commit to a **fixed 4-accumulator strided
 //!   layout**: accumulator `j` sums the products of elements with
 //!   index ≡ j (mod 4), the remainder feeds accumulators `0..len%4`,
 //!   and the four partials combine as `(acc0 + acc1) + (acc2 + acc3)`.
-//!   The scalar path runs the identical recurrence with four scalar
-//!   accumulators, so vector lane `j` and scalar accumulator `j` see
-//!   the same operands in the same order.
+//!   The body writes the four accumulators out as lanes, so both
+//!   builds run the same recurrence; the vector build holds them in
+//!   one register.
+//! * The hand-written butterfly performs the scalar body's per-lane
+//!   multiplies and adds in the same order, never FMA.
 //!
 //! # Mode resolution
 //!
@@ -35,14 +49,15 @@
 //! value means `auto`). Otherwise a thread-local [`with_mode`] override
 //! applies, else `auto`. A `scalar` request gives scalar; anything else
 //! gives AVX2 when the CPU reports it and scalar otherwise, so a mode
-//! whose intrinsics could fault is never returned. Kernels resolve
+//! whose instructions could fault is never returned. Kernels resolve
 //! [`mode`] **once at their public entry point, on the caller's
 //! thread**, and capture the resolved mode into their parallel
 //! closures — worker threads never consult the thread-local, so
 //! [`with_mode`] reliably scopes the whole kernel.
-// The one place in the kernels crate allowed to use `unsafe`: every
-// unsafe block wraps `core::arch` intrinsics that are only reached
-// after `is_x86_feature_detected!` has confirmed the ISA.
+// The one place in the kernels crate allowed to use `unsafe`: calls of
+// `#[target_feature(enable = "avx2")]` functions (the twins and the
+// butterfly's intrinsics), reached only after `is_x86_feature_detected!`
+// has confirmed the ISA.
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
@@ -54,7 +69,8 @@ use crate::fft::C64;
 pub enum SimdMode {
     /// Plain Rust loops (the reference semantics).
     Scalar,
-    /// 4-lane `f64` AVX2 intrinsics (bitwise equal to scalar).
+    /// The same bodies built for AVX2, 4-lane `f64` (bitwise equal to
+    /// scalar).
     Avx2,
 }
 
@@ -132,11 +148,11 @@ pub fn mode() -> SimdMode {
     }
 }
 
-/// Dispatch one span operation: the scalar body, or the AVX2 body
+/// Dispatch one span operation: the scalar entry, or the AVX2 one
 /// guarded by a final (cached, branch-predicted) availability check so
-/// a hand-constructed `Avx2` value can never reach intrinsics on
-/// hardware without them — it falls back to scalar, exactly like
-/// [`mode`]'s resolution.
+/// a hand-constructed `Avx2` value can never run AVX2 code on hardware
+/// without it — it falls back to scalar, exactly like [`mode`]'s
+/// resolution.
 macro_rules! dispatch {
     ($m:expr, scalar: $scalar:expr, avx2: $avx2:expr) => {
         match $m {
@@ -160,6 +176,38 @@ macro_rules! dispatch {
     };
 }
 
+/// Compile one span-op body twice and dispatch on the mode: `body` is
+/// the op's only definition, `#[inline(always)]` so that it lands in
+/// exactly two places — the `#[inline(never)]` scalar entry (built for
+/// the crate's baseline target) and the AVX2 twin (the same body built
+/// with `#[target_feature(enable = "avx2")]`, where LLVM vectorizes it
+/// to 4-lane `f64`). Rust never contracts `mul` + `add` into FMA and
+/// LLVM never reassociates floating-point math, so both copies perform
+/// each element's operations in source order: the twins are bitwise
+/// equal by construction, not by hand-matched association.
+macro_rules! twin {
+    ($m:expr, ($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block) => {{
+        #[inline(always)]
+        fn body($($arg: $ty),*) $(-> $ret)? $body
+
+        #[inline(never)]
+        fn scalar($($arg: $ty),*) $(-> $ret)? {
+            body($($arg),*)
+        }
+
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+            body($($arg),*)
+        }
+
+        dispatch!($m, scalar: scalar($($arg),*), avx2: avx2($($arg),*))
+    }};
+}
+
 // ---------------------------------------------------------------------
 // Element-wise spans (STREAM, CG, MG smooth, DGEMM beta scale)
 // ---------------------------------------------------------------------
@@ -167,42 +215,42 @@ macro_rules! dispatch {
 /// `dst[i] = s · src[i]` (STREAM scale).
 pub fn scale(m: SimdMode, dst: &mut [f64], src: &[f64], s: f64) {
     assert_eq!(dst.len(), src.len());
-    dispatch!(
-        m,
-        scalar: scalar::scale(dst, src, s),
-        avx2: avx2::scale(dst, src, s)
-    );
+    twin!(m, (dst: &mut [f64], src: &[f64], s: f64) {
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = s * x;
+        }
+    });
 }
 
 /// `dst[i] *= s` in place (DGEMM's beta pass).
 pub fn scale_in_place(m: SimdMode, dst: &mut [f64], s: f64) {
-    dispatch!(
-        m,
-        scalar: scalar::scale_in_place(dst, s),
-        avx2: avx2::scale_in_place(dst, s)
-    );
+    twin!(m, (dst: &mut [f64], s: f64) {
+        for d in dst.iter_mut() {
+            *d *= s;
+        }
+    });
 }
 
 /// `dst[i] = a[i] + b[i]` (STREAM add).
 pub fn add(m: SimdMode, dst: &mut [f64], a: &[f64], b: &[f64]) {
     assert_eq!(dst.len(), a.len());
     assert_eq!(dst.len(), b.len());
-    dispatch!(
-        m,
-        scalar: scalar::add(dst, a, b),
-        avx2: avx2::add(dst, a, b)
-    );
+    twin!(m, (dst: &mut [f64], a: &[f64], b: &[f64]) {
+        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+            *d = x + y;
+        }
+    });
 }
 
 /// `dst[i] = a[i] + s · b[i]` (STREAM triad).
 pub fn triad(m: SimdMode, dst: &mut [f64], a: &[f64], b: &[f64], s: f64) {
     assert_eq!(dst.len(), a.len());
     assert_eq!(dst.len(), b.len());
-    dispatch!(
-        m,
-        scalar: scalar::triad(dst, a, b, s),
-        avx2: avx2::triad(dst, a, b, s)
-    );
+    twin!(m, (dst: &mut [f64], a: &[f64], b: &[f64], s: f64) {
+        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+            *d = x + s * y;
+        }
+    });
 }
 
 /// `y[i] += a · x[i]` — the BLAS axpy (CG updates, MG smoothing, and,
@@ -211,32 +259,32 @@ pub fn triad(m: SimdMode, dst: &mut [f64], a: &[f64], b: &[f64], s: f64) {
 /// `y − a·x`).
 pub fn axpy(m: SimdMode, y: &mut [f64], x: &[f64], a: f64) {
     assert_eq!(y.len(), x.len());
-    dispatch!(
-        m,
-        scalar: scalar::axpy(y, x, a),
-        avx2: avx2::axpy(y, x, a)
-    );
+    twin!(m, (y: &mut [f64], x: &[f64], a: f64) {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi += a * xi;
+        }
+    });
 }
 
 /// `y[i] = x[i] + b · y[i]` (CG's search-direction update).
 pub fn xpby(m: SimdMode, y: &mut [f64], x: &[f64], b: f64) {
     assert_eq!(y.len(), x.len());
-    dispatch!(
-        m,
-        scalar: scalar::xpby(y, x, b),
-        avx2: avx2::xpby(y, x, b)
-    );
+    twin!(m, (y: &mut [f64], x: &[f64], b: f64) {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi = xi + b * *yi;
+        }
+    });
 }
 
 /// `dst[i] = src[i] / d` (CG's renormalization; lane division is
 /// exactly rounded, so the paths agree bitwise).
 pub fn scale_div(m: SimdMode, dst: &mut [f64], src: &[f64], d: f64) {
     assert_eq!(dst.len(), src.len());
-    dispatch!(
-        m,
-        scalar: scalar::scale_div(dst, src, d),
-        avx2: avx2::scale_div(dst, src, d)
-    );
+    twin!(m, (dst: &mut [f64], src: &[f64], d: f64) {
+        for (o, &x) in dst.iter_mut().zip(src) {
+            *o = x / d;
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -250,11 +298,23 @@ pub fn scale_div(m: SimdMode, dst: &mut [f64], src: &[f64], d: f64) {
 /// rounding, which [`dot_serial`] exists to bound in tests.
 pub fn dot(m: SimdMode, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
-    dispatch!(
-        m,
-        scalar: scalar::dot(a, b),
-        avx2: avx2::dot(a, b)
-    )
+    twin!(m, (a: &[f64], b: &[f64]) -> f64 {
+        // Whole 4-element groups as a fixed-width lane loop, which packs
+        // into one vector register; an indexed four-accumulator loop
+        // stays scalar.
+        let mut acc = [0.0f64; 4];
+        let (qa, qb) = (a.chunks_exact(4), b.chunks_exact(4));
+        let (ta, tb) = (qa.remainder(), qb.remainder());
+        for (x, y) in qa.zip(qb) {
+            for ((s, &xj), &yj) in acc.iter_mut().zip(x).zip(y) {
+                *s += xj * yj;
+            }
+        }
+        for ((s, &xj), &yj) in acc.iter_mut().zip(ta).zip(tb) {
+            *s += xj * yj;
+        }
+        (acc[0] + acc[1]) + (acc[2] + acc[3])
+    })
 }
 
 /// The legacy left-to-right serial dot (`Σ aᵢ·bᵢ` in index order) —
@@ -269,48 +329,81 @@ pub fn dot_serial(a: &[f64], b: &[f64]) -> f64 {
 // DGEMM / LU fused update spans
 // ---------------------------------------------------------------------
 
-/// `c[i] += a0·b0[i] + a1·b1[i] + a2·b2[i] + a3·b3[i]` — DGEMM's
-/// 4×-unrolled register-tile update (broadcast-A, four packed B rows
-/// streaming per pass), left-associated exactly like the scalar loop.
-#[allow(clippy::too_many_arguments)] // mirrors the 4x-unrolled kernel shape
-pub fn update4(
-    m: SimdMode,
-    c: &mut [f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-    a0: f64,
-    a1: f64,
-    a2: f64,
-    a3: f64,
-) {
-    assert_eq!(c.len(), b0.len());
-    assert_eq!(c.len(), b1.len());
-    assert_eq!(c.len(), b2.len());
-    assert_eq!(c.len(), b3.len());
-    dispatch!(
-        m,
-        scalar: scalar::update4(c, b0, b1, b2, b3, a0, a1, a2, a3),
-        avx2: avx2::update4(c, b0, b1, b2, b3, a0, a1, a2, a3)
-    );
-}
+/// Depth of one k-block of [`tile_row_update`]: the scaled multipliers
+/// `alpha·a[k]` of a block fit a stack buffer. A multiple of 4, so a
+/// block boundary never splits a k-quad.
+const KC: usize = 64;
 
 /// One C row against a packed `kw×jw` B tile:
 /// `c[j] += Σ_k (alpha·a[k])·bt[k·jw + j]`, accumulated per element as
-/// a sequence of [`update4`] k-quads followed by [`axpy`] singles for
-/// `kw mod 4` — bitwise, the fused kernel IS that call sequence. The
-/// AVX2 path exploits the fusion: the C row stays in registers across
-/// the entire k loop (two independent accumulator chains over eight
-/// columns at a time) instead of being re-loaded and re-stored per
-/// quad, which is where DGEMM's headroom over the scalar path lives.
+/// k-quads `c += ((s₀·b₀ + s₁·b₁) + s₂·b₂) + s₃·b₃` (`sₖ = alpha·a[k]`)
+/// followed by singles `c += sₖ·bₖ` for the `kw mod 4` remainder. The
+/// row is walked eight columns at a time (then four, then one) with
+/// those columns held in an accumulator array — registers — across a
+/// whole k-block instead of re-loaded and re-stored per quad, which is
+/// where DGEMM's headroom lives; eliding the intermediate loads and
+/// stores rounds nothing.
 pub fn tile_row_update(m: SimdMode, c: &mut [f64], bt: &[f64], a: &[f64], alpha: f64) {
     assert_eq!(bt.len(), a.len() * c.len(), "bt must be a packed a.len()×c.len() tile");
-    dispatch!(
-        m,
-        scalar: scalar::tile_row_update(c, bt, a, alpha),
-        avx2: avx2::tile_row_update(c, bt, a, alpha)
-    );
+    twin!(m, (c: &mut [f64], bt: &[f64], a: &[f64], alpha: f64) {
+        let jw = c.len();
+        let mut scaled = [0.0f64; KC];
+        let mut bt = bt;
+        for ak in a.chunks(KC) {
+            let (bk, rest) = bt.split_at(ak.len() * jw);
+            bt = rest;
+            let sa = &mut scaled[..ak.len()];
+            for (s, &x) in sa.iter_mut().zip(ak) {
+                *s = alpha * x;
+            }
+            let mut j = 0;
+            while j + 8 <= jw {
+                tile_cols::<8>(&mut c[j..j + 8], bk, sa, jw, j);
+                j += 8;
+            }
+            if j + 4 <= jw {
+                tile_cols::<4>(&mut c[j..j + 4], bk, sa, jw, j);
+                j += 4;
+            }
+            for j in j..jw {
+                tile_cols::<1>(&mut c[j..j + 1], bk, sa, jw, j);
+            }
+        }
+    });
+}
+
+/// Columns `j..j + W` of one k-block `bk` (rows of width `jw`, scaled
+/// multipliers `sa`) of [`tile_row_update`]. With `W` fixed the lane
+/// loops have a constant trip count, so `acc` stays in registers (two
+/// 4-lane vectors at `W = 8`) across every quad and single.
+#[inline(always)]
+fn tile_cols<const W: usize>(c: &mut [f64], bk: &[f64], sa: &[f64], jw: usize, j: usize) {
+    let mut acc = [0.0f64; W];
+    acc.copy_from_slice(c);
+    // Rows are split off one by one rather than by `chunks_exact(jw)`,
+    // whose length is a division per call.
+    let quads = sa.chunks_exact(4);
+    let singles = quads.remainder();
+    let mut rows = bk;
+    for s in quads {
+        let (q, rest) = rows.split_at(4 * jw);
+        rows = rest;
+        let b0 = &q[j..j + W];
+        let b1 = &q[jw + j..jw + j + W];
+        let b2 = &q[2 * jw + j..2 * jw + j + W];
+        let b3 = &q[3 * jw + j..3 * jw + j + W];
+        for ((((cv, &x0), &x1), &x2), &x3) in acc.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+            *cv += s[0] * x0 + s[1] * x1 + s[2] * x2 + s[3] * x3;
+        }
+    }
+    for &s in singles {
+        let (row, rest) = rows.split_at(jw);
+        rows = rest;
+        for (cv, &x) in acc.iter_mut().zip(&row[j..j + W]) {
+            *cv += s * x;
+        }
+    }
+    c.copy_from_slice(&acc);
 }
 
 /// `row[i] -= m0·u0[i] + m1·u1[i]` — the HPL trailing update's fused
@@ -318,11 +411,11 @@ pub fn tile_row_update(m: SimdMode, c: &mut [f64], bt: &[f64], a: &[f64], alpha:
 pub fn sub2(m: SimdMode, row: &mut [f64], u0: &[f64], u1: &[f64], m0: f64, m1: f64) {
     assert_eq!(row.len(), u0.len());
     assert_eq!(row.len(), u1.len());
-    dispatch!(
-        m,
-        scalar: scalar::sub2(row, u0, u1, m0, m1),
-        avx2: avx2::sub2(row, u0, u1, m0, m1)
-    );
+    twin!(m, (row: &mut [f64], u0: &[f64], u1: &[f64], m0: f64, m1: f64) {
+        for ((r, &x0), &x1) in row.iter_mut().zip(u0).zip(u1) {
+            *r -= m0 * x0 + m1 * x1;
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -359,11 +452,27 @@ pub fn stencil7(
             && uzm.len() == n
             && uzp.len() == n
     );
-    dispatch!(
-        m,
-        scalar: scalar::stencil7(out, v, uc, uxm, uxp, uym, uyp, uzm, uzp),
-        avx2: avx2::stencil7(out, v, uc, uxm, uxp, uym, uyp, uzm, uzp)
-    );
+    twin!(m, (
+        out: &mut [f64],
+        v: &[f64],
+        uc: &[f64],
+        uxm: &[f64],
+        uxp: &[f64],
+        uym: &[f64],
+        uyp: &[f64],
+        uzm: &[f64],
+        uzp: &[f64]
+    ) {
+        // Every operand re-sliced to `out`'s length, so the indexing
+        // below needs no bounds check and the loop vectorizes.
+        let n = out.len();
+        let (v, uc, uxm, uxp) = (&v[..n], &uc[..n], &uxm[..n], &uxp[..n]);
+        let (uym, uyp, uzm, uzp) = (&uym[..n], &uyp[..n], &uzm[..n], &uzp[..n]);
+        for (i, o) in out.iter_mut().enumerate() {
+            let au = 6.0 * uc[i] - uxm[i] - uxp[i] - uym[i] - uyp[i] - uzm[i] - uzp[i];
+            *o = v[i] - au;
+        }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -380,577 +489,75 @@ pub fn butterfly(m: SimdMode, lo: &mut [C64], hi: &mut [C64], tw: &[C64], conj: 
     assert_eq!(lo.len(), tw.len());
     dispatch!(
         m,
-        scalar: scalar::butterfly(lo, hi, tw, conj),
-        avx2: avx2::butterfly(lo, hi, tw, conj)
+        scalar: butterfly_scalar(lo, hi, tw, conj),
+        avx2: butterfly_avx2(lo, hi, tw, conj)
     );
 }
 
-// ---------------------------------------------------------------------
-// Scalar reference path
-// ---------------------------------------------------------------------
-
-/// The portable loops. Each function is the semantic definition its
-/// AVX2 twin must match bitwise; the vector path also calls these for
-/// the sub-4-lane tails, so the two implementations can never drift on
-/// remainder elements.
-mod scalar {
-    use crate::fft::C64;
-
-    pub fn scale(dst: &mut [f64], src: &[f64], s: f64) {
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d = s * x;
-        }
-    }
-
-    pub fn scale_in_place(dst: &mut [f64], s: f64) {
-        for d in dst.iter_mut() {
-            *d *= s;
-        }
-    }
-
-    pub fn add(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x + y;
-        }
-    }
-
-    pub fn triad(dst: &mut [f64], a: &[f64], b: &[f64], s: f64) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x + s * y;
-        }
-    }
-
-    pub fn axpy(y: &mut [f64], x: &[f64], a: f64) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-
-    pub fn xpby(y: &mut [f64], x: &[f64], b: f64) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi = xi + b * *yi;
-        }
-    }
-
-    pub fn scale_div(dst: &mut [f64], src: &[f64], d: f64) {
-        for (o, &x) in dst.iter_mut().zip(src) {
-            *o = x / d;
-        }
-    }
-
-    /// The contract reduction: four strided accumulators, remainder
-    /// into accumulators `0..len%4`, combined `(0+1) + (2+3)`.
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let mut acc = [0.0f64; 4];
-        let n4 = a.len() & !3;
-        let mut i = 0;
-        while i < n4 {
-            acc[0] += a[i] * b[i];
-            acc[1] += a[i + 1] * b[i + 1];
-            acc[2] += a[i + 2] * b[i + 2];
-            acc[3] += a[i + 3] * b[i + 3];
-            i += 4;
-        }
-        dot_tail(&mut acc, &a[n4..], &b[n4..]);
-        dot_combine(acc)
-    }
-
-    /// Remainder elements feed accumulators `0..tail_len` (shared with
-    /// the AVX2 path so the tail recurrence is literally the same code).
-    pub fn dot_tail(acc: &mut [f64; 4], a: &[f64], b: &[f64]) {
-        for (j, (&x, &y)) in a.iter().zip(b).enumerate() {
-            acc[j] += x * y;
-        }
-    }
-
-    /// The fixed combine order of the contract.
-    pub fn dot_combine(acc: [f64; 4]) -> f64 {
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn update4(
-        c: &mut [f64],
-        b0: &[f64],
-        b1: &[f64],
-        b2: &[f64],
-        b3: &[f64],
-        a0: f64,
-        a1: f64,
-        a2: f64,
-        a3: f64,
-    ) {
-        for (i, cv) in c.iter_mut().enumerate() {
-            *cv += a0 * b0[i] + a1 * b1[i] + a2 * b2[i] + a3 * b3[i];
-        }
-    }
-
-    /// The semantic definition of the fused tile kernel: k-quads via
-    /// [`update4`], the `kw mod 4` remainder via [`axpy`], on full rows.
-    pub fn tile_row_update(c: &mut [f64], bt: &[f64], a: &[f64], alpha: f64) {
-        let jw = c.len();
-        let kw = a.len();
-        let mut kk = 0;
-        while kk + 4 <= kw {
-            let a0 = alpha * a[kk];
-            let a1 = alpha * a[kk + 1];
-            let a2 = alpha * a[kk + 2];
-            let a3 = alpha * a[kk + 3];
-            let (b0, rest) = bt[kk * jw..].split_at(jw);
-            let (b1, rest) = rest.split_at(jw);
-            let (b2, rest) = rest.split_at(jw);
-            update4(c, b0, b1, b2, &rest[..jw], a0, a1, a2, a3);
-            kk += 4;
-        }
-        while kk < kw {
-            axpy(c, &bt[kk * jw..kk * jw + jw], alpha * a[kk]);
-            kk += 1;
-        }
-    }
-
-    pub fn sub2(row: &mut [f64], u0: &[f64], u1: &[f64], m0: f64, m1: f64) {
-        for (i, r) in row.iter_mut().enumerate() {
-            *r -= m0 * u0[i] + m1 * u1[i];
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn stencil7(
-        out: &mut [f64],
-        v: &[f64],
-        uc: &[f64],
-        uxm: &[f64],
-        uxp: &[f64],
-        uym: &[f64],
-        uyp: &[f64],
-        uzm: &[f64],
-        uzp: &[f64],
-    ) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let au = 6.0 * uc[i] - uxm[i] - uxp[i] - uym[i] - uyp[i] - uzm[i] - uzp[i];
-            *o = v[i] - au;
-        }
-    }
-
-    pub fn butterfly(lo: &mut [C64], hi: &mut [C64], tw: &[C64], conj: bool) {
-        for k in 0..lo.len() {
-            let w = if conj { C64::new(tw[k].re, -tw[k].im) } else { tw[k] };
-            let h = hi[k];
-            let l = lo[k];
-            // Lane order of the AVX2 addsub: re·re − im·im, im·re + re·im.
-            let vre = h.re * w.re - h.im * w.im;
-            let vim = h.im * w.re + h.re * w.im;
-            lo[k] = C64::new(l.re + vre, l.im + vim);
-            hi[k] = C64::new(l.re - vre, l.im - vim);
-        }
+/// The butterfly's reference semantics; the AVX2 body below also runs
+/// it on the odd last complex. Indexed, so it stays a scalar loop: a
+/// vectorized form pays the deinterleave shuffles described below.
+fn butterfly_scalar(lo: &mut [C64], hi: &mut [C64], tw: &[C64], conj: bool) {
+    for k in 0..lo.len() {
+        let w = if conj { C64::new(tw[k].re, -tw[k].im) } else { tw[k] };
+        let h = hi[k];
+        let l = lo[k];
+        // Lane order of the AVX2 addsub: re·re − im·im, im·re + re·im.
+        let vre = h.re * w.re - h.im * w.im;
+        let vim = h.im * w.re + h.re * w.im;
+        lo[k] = C64::new(l.re + vre, l.im + vim);
+        hi[k] = C64::new(l.re - vre, l.im - vim);
     }
 }
 
-// ---------------------------------------------------------------------
-// AVX2 path
-// ---------------------------------------------------------------------
-
-/// Four-lane `f64` implementations. Unaligned loads/stores throughout
-/// (`Vec<f64>` gives no 32-byte guarantee); every arithmetic step is a
-/// separate `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` so lane `i` performs
-/// the scalar path's exact operation sequence — FMA contraction is
-/// deliberately absent. Tails shorter than one vector defer to the
-/// [`scalar`] functions on the remaining subslice.
+/// The one hand-written vector body. The data are interleaved
+/// `[re, im]` pairs, and a scalar complex multiply compiled for AVX2
+/// deinterleaves them through `vperm2f128`/`vunpck` shuffles: every
+/// scalar form tried ran about 2.8× slower than this body, which keeps
+/// the pairs in place — `v = h·w` is `addsub(h·dup(w.re),
+/// swap(h)·dup(w.im))`, giving `(h.re·w.re − h.im·w.im,
+/// h.im·w.re + h.re·w.im)` per complex, the scalar body's exact
+/// operations. Two complexes (four `f64`) per vector; unaligned
+/// loads/stores, because `Vec<C64>` promises no 32-byte alignment.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+#[target_feature(enable = "avx2")]
+unsafe fn butterfly_avx2(lo: &mut [C64], hi: &mut [C64], tw: &[C64], conj: bool) {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_addsub_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_movedup_pd,
-        _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm256_sub_pd, _mm256_xor_pd,
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
+        _mm256_permute_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
     };
-
-    use super::scalar;
-    use crate::fft::C64;
-
-    /// `f64` lanes per vector.
-    const LANES: usize = 4;
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale(dst: &mut [f64], src: &[f64], s: f64) {
-        let n4 = dst.len() & !(LANES - 1);
-        let vs = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(vs, x));
-            i += LANES;
-        }
-        scalar::scale(&mut dst[n4..], &src[n4..], s);
+    let n2 = lo.len() & !1;
+    // Conjugation flips the sign bit of the imaginary lanes — the
+    // exact operation the scalar body's `-tw[k].im` performs.
+    let conj_mask = if conj {
+        _mm256_loadu_pd([0.0f64, -0.0, 0.0, -0.0].as_ptr())
+    } else {
+        _mm256_setzero_pd()
+    };
+    // C64 is #[repr(C)], so a C64 pointer is a pair-of-f64 pointer; the
+    // loop touches only the first `n2` complexes of each slice.
+    let lp = lo.as_mut_ptr() as *mut f64;
+    let hp = hi.as_mut_ptr() as *mut f64;
+    let tp = tw.as_ptr() as *const f64;
+    let mut k = 0;
+    while k < n2 {
+        let w = _mm256_xor_pd(_mm256_loadu_pd(tp.add(2 * k)), conj_mask);
+        let h = _mm256_loadu_pd(hp.add(2 * k));
+        let l = _mm256_loadu_pd(lp.add(2 * k));
+        let wre = _mm256_movedup_pd(w);
+        let wim = _mm256_permute_pd::<0b1111>(w);
+        let hswap = _mm256_permute_pd::<0b0101>(h);
+        let v = _mm256_addsub_pd(_mm256_mul_pd(h, wre), _mm256_mul_pd(hswap, wim));
+        _mm256_storeu_pd(lp.add(2 * k), _mm256_add_pd(l, v));
+        _mm256_storeu_pd(hp.add(2 * k), _mm256_sub_pd(l, v));
+        k += 2;
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_in_place(dst: &mut [f64], s: f64) {
-        let n4 = dst.len() & !(LANES - 1);
-        let vs = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(dst.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_mul_pd(x, vs));
-            i += LANES;
-        }
-        scalar::scale_in_place(&mut dst[n4..], s);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        let n4 = dst.len() & !(LANES - 1);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(a.as_ptr().add(i));
-            let y = _mm256_loadu_pd(b.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(x, y));
-            i += LANES;
-        }
-        scalar::add(&mut dst[n4..], &a[n4..], &b[n4..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn triad(dst: &mut [f64], a: &[f64], b: &[f64], s: f64) {
-        let n4 = dst.len() & !(LANES - 1);
-        let vs = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(a.as_ptr().add(i));
-            let y = _mm256_loadu_pd(b.as_ptr().add(i));
-            let t = _mm256_mul_pd(vs, y);
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(x, t));
-            i += LANES;
-        }
-        scalar::triad(&mut dst[n4..], &a[n4..], &b[n4..], s);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f64], x: &[f64], a: f64) {
-        let n4 = y.len() & !(LANES - 1);
-        let va = _mm256_set1_pd(a);
-        let mut i = 0;
-        while i < n4 {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            let t = _mm256_mul_pd(va, xv);
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), _mm256_add_pd(yv, t));
-            i += LANES;
-        }
-        scalar::axpy(&mut y[n4..], &x[n4..], a);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xpby(y: &mut [f64], x: &[f64], b: f64) {
-        let n4 = y.len() & !(LANES - 1);
-        let vb = _mm256_set1_pd(b);
-        let mut i = 0;
-        while i < n4 {
-            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-            let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-            let t = _mm256_mul_pd(vb, yv);
-            _mm256_storeu_pd(y.as_mut_ptr().add(i), _mm256_add_pd(xv, t));
-            i += LANES;
-        }
-        scalar::xpby(&mut y[n4..], &x[n4..], b);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_div(dst: &mut [f64], src: &[f64], d: f64) {
-        let n4 = dst.len() & !(LANES - 1);
-        let vd = _mm256_set1_pd(d);
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_div_pd(x, vd));
-            i += LANES;
-        }
-        scalar::scale_div(&mut dst[n4..], &src[n4..], d);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let n4 = a.len() & !(LANES - 1);
-        let mut vacc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < n4 {
-            let x = _mm256_loadu_pd(a.as_ptr().add(i));
-            let y = _mm256_loadu_pd(b.as_ptr().add(i));
-            // Lane j accumulates index 4k+j products: the strided layout.
-            vacc = _mm256_add_pd(vacc, _mm256_mul_pd(x, y));
-            i += LANES;
-        }
-        let mut acc = [0.0f64; 4];
-        _mm256_storeu_pd(acc.as_mut_ptr(), vacc);
-        scalar::dot_tail(&mut acc, &a[n4..], &b[n4..]);
-        scalar::dot_combine(acc)
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn update4(
-        c: &mut [f64],
-        b0: &[f64],
-        b1: &[f64],
-        b2: &[f64],
-        b3: &[f64],
-        a0: f64,
-        a1: f64,
-        a2: f64,
-        a3: f64,
-    ) {
-        let n4 = c.len() & !(LANES - 1);
-        let va0 = _mm256_set1_pd(a0);
-        let va1 = _mm256_set1_pd(a1);
-        let va2 = _mm256_set1_pd(a2);
-        let va3 = _mm256_set1_pd(a3);
-        let mut i = 0;
-        while i < n4 {
-            // t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3, then c += t —
-            // the scalar expression's association, lane for lane.
-            let t0 = _mm256_mul_pd(va0, _mm256_loadu_pd(b0.as_ptr().add(i)));
-            let t1 = _mm256_mul_pd(va1, _mm256_loadu_pd(b1.as_ptr().add(i)));
-            let t2 = _mm256_mul_pd(va2, _mm256_loadu_pd(b2.as_ptr().add(i)));
-            let t3 = _mm256_mul_pd(va3, _mm256_loadu_pd(b3.as_ptr().add(i)));
-            let s = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(t0, t1), t2), t3);
-            let cv = _mm256_loadu_pd(c.as_ptr().add(i));
-            _mm256_storeu_pd(c.as_mut_ptr().add(i), _mm256_add_pd(cv, s));
-            i += LANES;
-        }
-        scalar::update4(&mut c[n4..], &b0[n4..], &b1[n4..], &b2[n4..], &b3[n4..], a0, a1, a2, a3);
-    }
-
-    /// The fused DGEMM tile kernel. Per element this performs exactly
-    /// the scalar path's k-quad `update4` expressions and `axpy`
-    /// singles, in the same order — but the C accumulators live in
-    /// registers for the whole k loop (intermediate loads/stores round
-    /// nothing, so eliding them is bitwise-neutral). k is walked in
-    /// `KC`-sized blocks so the scaled multipliers `alpha·a[k]` fit a
-    /// stack buffer; `KC` is a multiple of 4, so blocking never splits
-    /// a quad and the quad/single grouping matches the scalar path.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn tile_row_update(c: &mut [f64], bt: &[f64], a: &[f64], alpha: f64) {
-        const KC: usize = 64;
-        let jw = c.len();
-        let kw = a.len();
-        let mut k0 = 0;
-        while k0 < kw {
-            let kc = (kw - k0).min(KC);
-            let mut sa = [0.0f64; KC];
-            for (s, &av) in sa[..kc].iter_mut().zip(&a[k0..k0 + kc]) {
-                *s = alpha * av;
-            }
-            let bt0 = bt.as_ptr().add(k0 * jw);
-            // Eight columns per pass: two independent accumulator
-            // chains hide the add latency the single-chain quad loop
-            // would serialize on.
-            let mut j = 0;
-            while j + 8 <= jw {
-                let mut c0 = _mm256_loadu_pd(c.as_ptr().add(j));
-                let mut c1 = _mm256_loadu_pd(c.as_ptr().add(j + 4));
-                let mut kk = 0;
-                while kk + 4 <= kc {
-                    let va0 = _mm256_set1_pd(sa[kk]);
-                    let va1 = _mm256_set1_pd(sa[kk + 1]);
-                    let va2 = _mm256_set1_pd(sa[kk + 2]);
-                    let va3 = _mm256_set1_pd(sa[kk + 3]);
-                    let r0 = bt0.add(kk * jw + j);
-                    let r1 = bt0.add((kk + 1) * jw + j);
-                    let r2 = bt0.add((kk + 2) * jw + j);
-                    let r3 = bt0.add((kk + 3) * jw + j);
-                    let s0 = _mm256_add_pd(
-                        _mm256_add_pd(
-                            _mm256_add_pd(
-                                _mm256_mul_pd(va0, _mm256_loadu_pd(r0)),
-                                _mm256_mul_pd(va1, _mm256_loadu_pd(r1)),
-                            ),
-                            _mm256_mul_pd(va2, _mm256_loadu_pd(r2)),
-                        ),
-                        _mm256_mul_pd(va3, _mm256_loadu_pd(r3)),
-                    );
-                    c0 = _mm256_add_pd(c0, s0);
-                    let s1 = _mm256_add_pd(
-                        _mm256_add_pd(
-                            _mm256_add_pd(
-                                _mm256_mul_pd(va0, _mm256_loadu_pd(r0.add(4))),
-                                _mm256_mul_pd(va1, _mm256_loadu_pd(r1.add(4))),
-                            ),
-                            _mm256_mul_pd(va2, _mm256_loadu_pd(r2.add(4))),
-                        ),
-                        _mm256_mul_pd(va3, _mm256_loadu_pd(r3.add(4))),
-                    );
-                    c1 = _mm256_add_pd(c1, s1);
-                    kk += 4;
-                }
-                while kk < kc {
-                    let va = _mm256_set1_pd(sa[kk]);
-                    let r = bt0.add(kk * jw + j);
-                    c0 = _mm256_add_pd(c0, _mm256_mul_pd(va, _mm256_loadu_pd(r)));
-                    c1 = _mm256_add_pd(c1, _mm256_mul_pd(va, _mm256_loadu_pd(r.add(4))));
-                    kk += 1;
-                }
-                _mm256_storeu_pd(c.as_mut_ptr().add(j), c0);
-                _mm256_storeu_pd(c.as_mut_ptr().add(j + 4), c1);
-                j += 8;
-            }
-            while j + 4 <= jw {
-                let mut c0 = _mm256_loadu_pd(c.as_ptr().add(j));
-                let mut kk = 0;
-                while kk + 4 <= kc {
-                    let s0 = _mm256_add_pd(
-                        _mm256_add_pd(
-                            _mm256_add_pd(
-                                _mm256_mul_pd(
-                                    _mm256_set1_pd(sa[kk]),
-                                    _mm256_loadu_pd(bt0.add(kk * jw + j)),
-                                ),
-                                _mm256_mul_pd(
-                                    _mm256_set1_pd(sa[kk + 1]),
-                                    _mm256_loadu_pd(bt0.add((kk + 1) * jw + j)),
-                                ),
-                            ),
-                            _mm256_mul_pd(
-                                _mm256_set1_pd(sa[kk + 2]),
-                                _mm256_loadu_pd(bt0.add((kk + 2) * jw + j)),
-                            ),
-                        ),
-                        _mm256_mul_pd(
-                            _mm256_set1_pd(sa[kk + 3]),
-                            _mm256_loadu_pd(bt0.add((kk + 3) * jw + j)),
-                        ),
-                    );
-                    c0 = _mm256_add_pd(c0, s0);
-                    kk += 4;
-                }
-                while kk < kc {
-                    let va = _mm256_set1_pd(sa[kk]);
-                    c0 =
-                        _mm256_add_pd(c0, _mm256_mul_pd(va, _mm256_loadu_pd(bt0.add(kk * jw + j))));
-                    kk += 1;
-                }
-                _mm256_storeu_pd(c.as_mut_ptr().add(j), c0);
-                j += 4;
-            }
-            // Column tail: the same per-element expressions, plain Rust.
-            while j < jw {
-                let mut cj = c[j];
-                let mut kk = 0;
-                while kk + 4 <= kc {
-                    cj += sa[kk] * *bt0.add(kk * jw + j)
-                        + sa[kk + 1] * *bt0.add((kk + 1) * jw + j)
-                        + sa[kk + 2] * *bt0.add((kk + 2) * jw + j)
-                        + sa[kk + 3] * *bt0.add((kk + 3) * jw + j);
-                    kk += 4;
-                }
-                while kk < kc {
-                    cj += sa[kk] * *bt0.add(kk * jw + j);
-                    kk += 1;
-                }
-                c[j] = cj;
-                j += 1;
-            }
-            k0 += kc;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub2(row: &mut [f64], u0: &[f64], u1: &[f64], m0: f64, m1: f64) {
-        let n4 = row.len() & !(LANES - 1);
-        let vm0 = _mm256_set1_pd(m0);
-        let vm1 = _mm256_set1_pd(m1);
-        let mut i = 0;
-        while i < n4 {
-            let t0 = _mm256_mul_pd(vm0, _mm256_loadu_pd(u0.as_ptr().add(i)));
-            let t1 = _mm256_mul_pd(vm1, _mm256_loadu_pd(u1.as_ptr().add(i)));
-            let s = _mm256_add_pd(t0, t1);
-            let r = _mm256_loadu_pd(row.as_ptr().add(i));
-            _mm256_storeu_pd(row.as_mut_ptr().add(i), _mm256_sub_pd(r, s));
-            i += LANES;
-        }
-        scalar::sub2(&mut row[n4..], &u0[n4..], &u1[n4..], m0, m1);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn stencil7(
-        out: &mut [f64],
-        v: &[f64],
-        uc: &[f64],
-        uxm: &[f64],
-        uxp: &[f64],
-        uym: &[f64],
-        uyp: &[f64],
-        uzm: &[f64],
-        uzp: &[f64],
-    ) {
-        let n4 = out.len() & !(LANES - 1);
-        let six = _mm256_set1_pd(6.0);
-        let mut i = 0;
-        while i < n4 {
-            // 6·uc − uxm − uxp − uym − uyp − uzm − uzp, subtractions in
-            // the scalar expression's left-to-right order.
-            let mut au = _mm256_mul_pd(six, _mm256_loadu_pd(uc.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uxm.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uxp.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uym.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uyp.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uzm.as_ptr().add(i)));
-            au = _mm256_sub_pd(au, _mm256_loadu_pd(uzp.as_ptr().add(i)));
-            let vv = _mm256_loadu_pd(v.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_sub_pd(vv, au));
-            i += LANES;
-        }
-        scalar::stencil7(
-            &mut out[n4..],
-            &v[n4..],
-            &uc[n4..],
-            &uxm[n4..],
-            &uxp[n4..],
-            &uym[n4..],
-            &uyp[n4..],
-            &uzm[n4..],
-            &uzp[n4..],
-        );
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterfly(lo: &mut [C64], hi: &mut [C64], tw: &[C64], conj: bool) {
-        // Two complexes (four f64) per vector: [re0, im0, re1, im1].
-        // C64 is #[repr(C)], so a C64 pointer is a pair-of-f64 pointer.
-        let half = lo.len();
-        let n2 = half & !1;
-        // Conjugation flips the sign bit of the imaginary lanes — the
-        // exact operation the scalar path's `-tw[k].im` performs.
-        let conj_mask = if conj {
-            _mm256_loadu_pd([0.0f64, -0.0, 0.0, -0.0].as_ptr())
-        } else {
-            _mm256_setzero_pd()
-        };
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
-        let tp = tw.as_ptr() as *const f64;
-        let mut k = 0;
-        while k < n2 {
-            let w = _mm256_xor_pd(_mm256_loadu_pd(tp.add(2 * k)), conj_mask);
-            let h = _mm256_loadu_pd(hp.add(2 * k));
-            let l = _mm256_loadu_pd(lp.add(2 * k));
-            // v = h·w: addsub(h·dup(w.re), swap(h)·dup(w.im)) gives
-            // (h.re·w.re − h.im·w.im, h.im·w.re + h.re·w.im) per complex.
-            let wre = _mm256_movedup_pd(w);
-            let wim = _mm256_permute_pd::<0b1111>(w);
-            let hswap = _mm256_permute_pd::<0b0101>(h);
-            let v = _mm256_addsub_pd(_mm256_mul_pd(h, wre), _mm256_mul_pd(hswap, wim));
-            _mm256_storeu_pd(lp.add(2 * k), _mm256_add_pd(l, v));
-            _mm256_storeu_pd(hp.add(2 * k), _mm256_sub_pd(l, v));
-            k += 2;
-        }
-        scalar::butterfly(&mut lo[n2..], &mut hi[n2..], &tw[n2..], conj);
-    }
+    butterfly_scalar(&mut lo[n2..], &mut hi[n2..], &tw[n2..], conj);
 }
-
-/// Stub so the dispatch macro's `avx2` arm name-resolves on
-/// architectures where it is `cfg`'d out before it can be called.
-#[cfg(not(target_arch = "x86_64"))]
-mod avx2 {}
 
 #[cfg(test)]
 mod tests {
@@ -969,11 +576,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The vector modes compared against scalar in the equality tests
-    /// below. On hardware without AVX2 the dispatch arm falls back to
-    /// scalar, so each comparison is vacuous-but-true there and a real
-    /// cross-ISA check where the silicon exists.
-    const BITWISE_VECTOR_MODES: [SimdMode; 1] = [SimdMode::Avx2];
+    /// Both paths. On hardware without AVX2 the `Avx2` arm falls back to
+    /// scalar, so a check of it is a second scalar check there and a
+    /// check of the vector build where the silicon exists.
+    const MODES: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Avx2];
 
     #[test]
     fn mode_resolves_to_a_runnable_path() {
@@ -1019,98 +625,86 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops_bitwise_equal_across_paths() {
-        // Odd length exercises every tail; the contract holds anyway.
+    fn elementwise_ops_match_their_expressions_on_both_paths() {
+        // Each op against its defining expression evaluated element by
+        // element here, independent of the op's body. Odd lengths leave
+        // every vector tail. Thirds have full 53-bit mantissas, so a
+        // reordered sum rounds differently; the generator's 46-bit
+        // values would add exactly in any order.
+        let thirds = |v: Vec<f64>| -> Vec<f64> { v.iter().map(|x| x / 3.0).collect() };
         for len in [1, 3, 4, 7, 16, 61, 256] {
             let (a, b, c0) = vecs(len, 42 + len as u64);
-            let pair = |f: &dyn Fn(SimdMode) -> Vec<f64>, v: SimdMode| (f(SimdMode::Scalar), f(v));
-            let ops: Vec<Box<dyn Fn(SimdMode) -> Vec<f64>>> = vec![
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    scale(m, &mut d, &a, 1.7);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    scale_in_place(m, &mut d, -0.3);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    add(m, &mut d, &a, &b);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    triad(m, &mut d, &a, &b, 3.0);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    axpy(m, &mut d, &a, -2.25);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    xpby(m, &mut d, &a, 0.9);
-                    d
-                }),
-                Box::new(|m| {
-                    let mut d = c0.clone();
-                    scale_div(m, &mut d, &a, 1.3);
-                    d
-                }),
+            let (u0, u1, u2) = vecs(len, 300 + len as u64);
+            let (u3, u4, _) = vecs(len, 500 + len as u64);
+            let [a, b, c0, u0, u1, u2, u3, u4] = [a, b, c0, u0, u1, u2, u3, u4].map(thirds);
+            type Run<'a> = Box<dyn Fn(SimdMode, &mut [f64]) + 'a>;
+            type Want<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
+            let ops: Vec<(&str, Run, Want)> = vec![
+                ("scale", Box::new(|m, d| scale(m, d, &a, 1.7)), Box::new(|i| 1.7 * a[i])),
+                (
+                    "scale_in_place",
+                    Box::new(|m, d| scale_in_place(m, d, -0.3)),
+                    Box::new(|i| c0[i] * -0.3),
+                ),
+                ("add", Box::new(|m, d| add(m, d, &a, &b)), Box::new(|i| a[i] + b[i])),
+                (
+                    "triad",
+                    Box::new(|m, d| triad(m, d, &a, &b, 3.0)),
+                    Box::new(|i| a[i] + 3.0 * b[i]),
+                ),
+                (
+                    "axpy",
+                    Box::new(|m, d| axpy(m, d, &a, -2.25)),
+                    Box::new(|i| c0[i] + -2.25 * a[i]),
+                ),
+                ("xpby", Box::new(|m, d| xpby(m, d, &a, 0.9)), Box::new(|i| a[i] + 0.9 * c0[i])),
+                ("scale_div", Box::new(|m, d| scale_div(m, d, &a, 1.3)), Box::new(|i| a[i] / 1.3)),
+                (
+                    "sub2",
+                    Box::new(|m, d| sub2(m, d, &a, &b, 0.6, -1.4)),
+                    Box::new(|i| c0[i] - (0.6 * a[i] + -1.4 * b[i])),
+                ),
+                (
+                    "stencil7",
+                    Box::new(|m, d| stencil7(m, d, &c0, &a, &b, &u0, &u1, &u2, &u3, &u4)),
+                    Box::new(|i| {
+                        c0[i] - (6.0 * a[i] - b[i] - u0[i] - u1[i] - u2[i] - u3[i] - u4[i])
+                    }),
+                ),
             ];
-            for op in &ops {
-                for vm in BITWISE_VECTOR_MODES {
-                    let (s, v) = pair(&**op, vm);
-                    assert_eq!(bits(&s), bits(&v), "len {len} mode {vm:?}");
+            for (name, run, want) in &ops {
+                let want: Vec<f64> = (0..len).map(want).collect();
+                for m in MODES {
+                    let mut d = c0.clone();
+                    run(m, &mut d);
+                    assert_eq!(bits(&want), bits(&d), "{name} len {len} mode {m:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn dot_bitwise_equal_across_paths() {
+    fn dot_equals_the_strided_recurrence_on_both_paths() {
         for len in [0, 1, 2, 3, 4, 5, 8, 31, 4096, 4099] {
             let (a, b, _) = vecs(len, 7 + len as u64);
-            let s = dot(SimdMode::Scalar, &a, &b);
-            for vm in BITWISE_VECTOR_MODES {
-                let v = dot(vm, &a, &b);
-                assert_eq!(s.to_bits(), v.to_bits(), "len {len} mode {vm:?}");
+            // The contract written out: accumulator i mod 4 takes element
+            // i in index order, which also sends the remainder to
+            // accumulators 0..len%4; then (0+1) + (2+3).
+            let mut acc = [0.0f64; 4];
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                acc[i % 4] += x * y;
+            }
+            let want = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+            for m in MODES {
+                assert_eq!(dot(m, &a, &b).to_bits(), want.to_bits(), "len {len} mode {m:?}");
             }
         }
     }
 
-    #[test]
-    fn update4_and_sub2_bitwise_equal_across_paths() {
-        for len in [1, 4, 6, 48, 50] {
-            let (b0, b1, mut c) = vecs(len, 100 + len as u64);
-            let (b2, b3, _) = vecs(len, 200 + len as u64);
-            let c0 = c.clone();
-            update4(SimdMode::Scalar, &mut c, &b0, &b1, &b2, &b3, 1.1, -0.2, 0.7, 2.0);
-            let s = c.clone();
-            for vm in BITWISE_VECTOR_MODES {
-                c = c0.clone();
-                update4(vm, &mut c, &b0, &b1, &b2, &b3, 1.1, -0.2, 0.7, 2.0);
-                assert_eq!(bits(&s), bits(&c), "update4 len {len} mode {vm:?}");
-            }
-
-            let mut r = c0.clone();
-            sub2(SimdMode::Scalar, &mut r, &b0, &b1, 0.6, -1.4);
-            let s = r.clone();
-            for vm in BITWISE_VECTOR_MODES {
-                r = c0.clone();
-                sub2(vm, &mut r, &b0, &b1, 0.6, -1.4);
-                assert_eq!(bits(&s), bits(&r), "sub2 len {len} mode {vm:?}");
-            }
-        }
-    }
-
-    /// The fused tile kernel must be bitwise the k-quad/axpy call
-    /// sequence it documents, on both paths, at every jw/kw shape —
-    /// including column tails (jw mod 8, jw mod 4), k singles
-    /// (kw mod 4) and k blocks past the AVX2 stack-buffer size (kw 70).
+    /// The fused tile kernel must be bitwise the k-quad/single sequence
+    /// it documents, on both paths, at every jw/kw shape — including
+    /// column tails (jw mod 8, jw mod 4), k singles (kw mod 4) and
+    /// k-blocks past the stack-buffer depth (kw 70).
     #[test]
     fn tile_row_update_bitwise_equals_quad_sequence_across_paths() {
         for &(kw, jw) in
@@ -1122,32 +716,30 @@ mod tests {
             let c0: Vec<f64> = (0..jw).map(|_| rng.next_f64() - 0.5).collect();
             let alpha = 1.3;
 
-            // Reference: the documented update4/axpy sequence.
+            // Reference: per element, the k-quads
+            // c += ((s0·b0 + s1·b1) + s2·b2) + s3·b3, then the singles
+            // c += s·b of an axpy.
+            let b = |k: usize, j: usize| bt[k * jw + j];
             let mut want = c0.clone();
             let mut kk = 0;
             while kk + 4 <= kw {
-                let rows: Vec<&[f64]> =
-                    (0..4).map(|q| &bt[(kk + q) * jw..(kk + q + 1) * jw]).collect();
-                update4(
-                    SimdMode::Scalar,
-                    &mut want,
-                    rows[0],
-                    rows[1],
-                    rows[2],
-                    rows[3],
-                    alpha * a[kk],
-                    alpha * a[kk + 1],
-                    alpha * a[kk + 2],
-                    alpha * a[kk + 3],
-                );
+                let s: Vec<f64> = (kk..kk + 4).map(|k| alpha * a[k]).collect();
+                for (j, w) in want.iter_mut().enumerate() {
+                    *w += s[0] * b(kk, j)
+                        + s[1] * b(kk + 1, j)
+                        + s[2] * b(kk + 2, j)
+                        + s[3] * b(kk + 3, j);
+                }
                 kk += 4;
             }
-            while kk < kw {
-                axpy(SimdMode::Scalar, &mut want, &bt[kk * jw..(kk + 1) * jw], alpha * a[kk]);
-                kk += 1;
+            for k in kk..kw {
+                let s = alpha * a[k];
+                for (j, w) in want.iter_mut().enumerate() {
+                    *w += s * b(k, j);
+                }
             }
 
-            for m in [SimdMode::Scalar, SimdMode::Avx2] {
+            for m in MODES {
                 let mut c = c0.clone();
                 tile_row_update(m, &mut c, &bt, &a, alpha);
                 assert_eq!(bits(&want), bits(&c), "kw {kw} jw {jw} mode {:?}", m);

@@ -147,10 +147,11 @@ impl DriftDetector {
         if armed && dev.abs() > self.spike_sigma * sd {
             self.spike_run += 1;
             if self.spike_run >= RELEVEL_AFTER {
-                // New regime: restart the baseline there and re-learn
-                // the variance (detection re-arms as it rebuilds).
+                // New regime: move the baseline there but keep the
+                // learned variance — meter noise does not change with
+                // the power level, and a variance re-learned from zero
+                // would flag the new level's own noise as spikes.
                 self.mean_w = watts;
-                self.var_w = 0.0;
                 self.spike_run = 0;
                 self.in_spike = false;
                 return None;
@@ -247,6 +248,34 @@ mod tests {
             }
         }
         assert_eq!(events, 1, "a level shift is one event, not a flood");
+    }
+
+    #[test]
+    fn noisy_staircase_fires_once_per_level_shift() {
+        // A program schedule's shape: k level shifts 20 samples apart
+        // (the monitor's gap between programs), each followed by noise
+        // at the new level. Every shift is one spike, and the noise
+        // after a re-level raises nothing.
+        let mut d = DriftDetector::new(0, 6.0, 10.0);
+        let mut s = 11u64;
+        let mut rnd = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
+        };
+        let levels = [130.0, 150.0, 210.0, 145.0, 260.0, 135.0, 180.0];
+        let shifts = levels.len() - 1;
+        let mut spikes = 0;
+        for (k, &level) in levels.iter().enumerate() {
+            for i in 0..20 {
+                let t = (20 * k + i) as f64;
+                match d.observe_power(t, level + rnd() * 3.0) {
+                    Some(TelemetryEvent::PowerSpike { .. }) => spikes += 1,
+                    Some(other) => panic!("unexpected event {other:?}"),
+                    None => {}
+                }
+            }
+        }
+        assert_eq!(spikes, shifts, "one spike per level shift");
     }
 
     #[test]
