@@ -1,4 +1,7 @@
-//! TCP client for the fleet daemon's wire protocol.
+//! TCP client for the fleet daemon's wire protocol: one blocking
+//! socket, one request in flight. It frames requests and decodes the
+//! replies with the same [`crate::wire`] codec the daemon and the
+//! router use, and returns the shared record types of [`crate::job`].
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -6,7 +9,7 @@ use std::time::Duration;
 use serde::Value;
 
 use crate::error::FleetError;
-use crate::job::{JobId, JobKind};
+use crate::job::{JobId, JobKind, JobStatus, RankedServer};
 use crate::wire::{self, Request};
 
 /// A connected fleet client: one stream, lock-step v2 envelopes —
@@ -60,11 +63,7 @@ impl FleetClient {
 
     /// Submit a batch of jobs; returns the assigned ids.
     pub fn submit(&mut self, jobs: Vec<JobKind>) -> Result<Vec<JobId>, FleetError> {
-        let v = self.roundtrip(&Request::Submit { jobs })?;
-        v.get("ids")
-            .and_then(Value::as_seq)
-            .map(|ids| ids.iter().filter_map(Value::as_u64).collect())
-            .ok_or_else(|| FleetError::Protocol("submit response lacks ids".to_string()))
+        wire::decode_ids(&self.roundtrip(&Request::Submit { jobs })?)
     }
 
     /// Submit a batch, retrying on backpressure with the daemon's own
@@ -96,19 +95,19 @@ impl FleetClient {
     }
 
     /// Status snapshots (all jobs, or one).
-    pub fn status(&mut self, job: Option<JobId>) -> Result<Vec<RemoteJob>, FleetError> {
-        decode_jobs(self.roundtrip(&Request::Status { job })?)
+    pub fn status(&mut self, job: Option<JobId>) -> Result<Vec<JobStatus>, FleetError> {
+        wire::decode_jobs(&self.roundtrip(&Request::Status { job })?)
     }
 
     /// Drain the daemon: blocks until its queue is dry, then returns
     /// the final statuses.
-    pub fn drain(&mut self) -> Result<Vec<RemoteJob>, FleetError> {
-        decode_jobs(self.roundtrip(&Request::Drain)?)
+    pub fn drain(&mut self) -> Result<Vec<JobStatus>, FleetError> {
+        wire::decode_jobs(&self.roundtrip(&Request::Drain)?)
     }
 
     /// The §V ranking over finished Evaluate jobs, best PPW first.
     pub fn ranking(&mut self) -> Result<Vec<RankedServer>, FleetError> {
-        decode_ranking(self.roundtrip(&Request::Ranking)?)
+        wire::decode_ranking(&self.roundtrip(&Request::Ranking)?)
     }
 
     /// Ask the daemon to stop.
@@ -126,166 +125,9 @@ pub(crate) fn backoff_with_jitter(salt: u64, attempt: u32, hint_ms: u64) -> u64 
     hint_ms + hpceval_trace::splitmix64(salt ^ u64::from(attempt)) % spread
 }
 
-/// A job snapshot as reported over the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteJob {
-    /// Job id.
-    pub id: JobId,
-    /// Kind verb ("evaluate", "train", ...).
-    pub kind: String,
-    /// Target server.
-    pub server: String,
-    /// State name ("Queued", "Done", "Degraded", ...).
-    pub state: String,
-    /// Crashed attempts.
-    pub attempts: u32,
-    /// Completed state rows.
-    pub rows_done: usize,
-    /// Total states.
-    pub total_steps: usize,
-    /// Headline score, when present.
-    pub score: Option<f64>,
-    /// True when the result is flagged partial/suspect.
-    pub degraded: bool,
-    /// Degradation notes.
-    pub notes: Vec<String>,
-}
-
-/// One row of the merged §V ranking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedServer {
-    /// Server name.
-    pub server: String,
-    /// Mean clean performance-per-watt score.
-    pub ppw: f64,
-    /// True when the score came from a degraded (partial) evaluation.
-    pub degraded: bool,
-}
-
-pub(crate) fn decode_ranking(v: Value) -> Result<Vec<RankedServer>, FleetError> {
-    v.get("ranking")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| FleetError::Protocol("response lacks ranking".to_string()))?
-        .iter()
-        .map(|r| {
-            decode_ranking_row(r)
-                .ok_or_else(|| FleetError::Protocol("unparseable ranking row".to_string()))
-        })
-        .collect()
-}
-
-fn decode_ranking_row(r: &Value) -> Option<RankedServer> {
-    Some(RankedServer {
-        server: r.get("server")?.as_str()?.to_string(),
-        ppw: r.get("ppw")?.as_f64()?,
-        degraded: r.get("degraded")?.as_bool()?,
-    })
-}
-
-/// Re-encode a decoded job snapshot as the wire's status map — the
-/// router needs this to merge per-shard snapshots (with rewritten
-/// global ids) back into one response.
-pub(crate) fn remote_job_to_value(job: &RemoteJob) -> Value {
-    let mut pairs: Vec<(String, Value)> = vec![
-        ("id".to_string(), Value::UInt(job.id)),
-        ("kind".to_string(), Value::Str(job.kind.clone())),
-        ("server".to_string(), Value::Str(job.server.clone())),
-        ("state".to_string(), Value::Str(job.state.clone())),
-        ("attempts".to_string(), Value::UInt(u64::from(job.attempts))),
-        ("rows_done".to_string(), Value::UInt(job.rows_done as u64)),
-        ("total_steps".to_string(), Value::UInt(job.total_steps as u64)),
-    ];
-    match job.score {
-        Some(s) => pairs.push(("score".to_string(), Value::Float(s))),
-        None => pairs.push(("score".to_string(), Value::Null)),
-    }
-    pairs.push(("degraded".to_string(), Value::Bool(job.degraded)));
-    pairs.push((
-        "notes".to_string(),
-        Value::Seq(job.notes.iter().map(|n| Value::Str(n.clone())).collect()),
-    ));
-    Value::Map(pairs)
-}
-
-pub(crate) fn decode_jobs(v: Value) -> Result<Vec<RemoteJob>, FleetError> {
-    v.get("jobs")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| FleetError::Protocol("response lacks jobs".to_string()))?
-        .iter()
-        .map(|j| {
-            decode_job(j)
-                .ok_or_else(|| FleetError::Protocol("unparseable job snapshot".to_string()))
-        })
-        .collect()
-}
-
-fn decode_job(v: &Value) -> Option<RemoteJob> {
-    Some(RemoteJob {
-        id: v.get("id")?.as_u64()?,
-        kind: v.get("kind")?.as_str()?.to_string(),
-        server: v.get("server")?.as_str()?.to_string(),
-        state: v.get("state")?.as_str()?.to_string(),
-        attempts: v.get("attempts")?.as_u64()? as u32,
-        rows_done: v.get("rows_done")?.as_u64()? as usize,
-        total_steps: v.get("total_steps")?.as_u64()? as usize,
-        score: v.get("score").and_then(Value::as_f64),
-        degraded: v.get("degraded")?.as_bool()?,
-        notes: v
-            .get("notes")?
-            .as_seq()?
-            .iter()
-            .map(|n| n.as_str().map(str::to_string))
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
-
-    use crate::job::JobStatus;
-
-    #[test]
-    fn remote_job_decodes_a_status_snapshot() {
-        let status = JobStatus {
-            id: 7,
-            kind: "evaluate".into(),
-            server: "Xeon-E5462".into(),
-            state: "Degraded".into(),
-            attempts: 2,
-            rows_done: 6,
-            total_steps: 10,
-            score: Some(0.12),
-            degraded: true,
-            notes: vec!["partial".into()],
-        };
-        let decoded = decode_job(&status.to_value()).unwrap();
-        assert_eq!(decoded.id, 7);
-        assert_eq!(decoded.state, "Degraded");
-        assert_eq!(decoded.rows_done, 6);
-        assert_eq!(decoded.score, Some(0.12));
-        assert!(decoded.degraded);
-    }
-
-    #[test]
-    fn remote_job_reencodes_to_the_same_snapshot() {
-        let job = RemoteJob {
-            id: 11,
-            kind: "evaluate".into(),
-            server: "Xeon-E5462".into(),
-            state: "Done".into(),
-            attempts: 0,
-            rows_done: 10,
-            total_steps: 10,
-            score: Some(0.25),
-            degraded: false,
-            notes: Vec::new(),
-        };
-        assert_eq!(decode_job(&remote_job_to_value(&job)).unwrap(), job);
-        let unscored = RemoteJob { score: None, state: "Queued".into(), rows_done: 0, ..job };
-        assert_eq!(decode_job(&remote_job_to_value(&unscored)).unwrap(), unscored);
-    }
 
     #[test]
     fn backoff_jitter_is_deterministic_bounded_and_decorrelated() {

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,14 +45,14 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
-use serde::{Serialize, Value};
+use serde::Value;
 
-use hpceval_core::jobs::{evaluation_plan, STATE_SLOT_S};
+use hpceval_core::jobs::evaluation_plan;
 
 use crate::error::FleetError;
-use crate::events::{EventKind, FleetEvent};
+use crate::events::EventKind;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::job::{JobId, JobKind, JobRecord, JobResult, JobState, JobStatus};
+use crate::job::{self, JobId, JobKind, JobRecord, JobResult, JobState, JobStatus, RankedServer};
 use crate::registry::Registry;
 use crate::runner::{run_attempt, AttemptOutcome};
 use crate::server;
@@ -102,26 +102,17 @@ struct Inner {
 }
 
 /// A terminal attempt awaiting its batch's group commit: the `done`
-/// line to log and the event to fire once that line is durable.
+/// line to log, and the node to release once that line is durable.
 struct Finished {
     entry: WalEntry,
-    event: FleetEvent,
+    node: usize,
 }
 
 impl Finished {
     /// A completed attempt, `Degraded` when its result is flagged.
     fn completed(job: JobId, node: usize, result: JobResult) -> Finished {
-        let (state, kind) = if result.degraded {
-            let reason = result.notes.first().cloned().unwrap_or_default();
-            (JobState::Degraded, EventKind::Degraded { reason })
-        } else {
-            (JobState::Done, EventKind::Done)
-        };
-        let t_s = result.rows.len() as f64 * STATE_SLOT_S;
-        Finished {
-            entry: WalEntry::Done { job, state, result: Some(result) },
-            event: FleetEvent { t_s, job, node, kind },
-        }
+        let state = if result.degraded { JobState::Degraded } else { JobState::Done };
+        Finished { entry: WalEntry::Done { job, state, result: Some(result) }, node }
     }
 }
 
@@ -133,7 +124,8 @@ pub struct Fleet {
     wal: Mutex<WalWriter>,
     registry: Mutex<Registry>,
     injector: FaultInjector,
-    events: Mutex<Vec<FleetEvent>>,
+    /// Lifecycle event counts, indexed by [`EventKind`].
+    events: [AtomicU64; EventKind::COUNT],
     pool: ThreadPool,
     shutdown: AtomicBool,
 }
@@ -160,7 +152,7 @@ impl Fleet {
             wal: Mutex::new(wal),
             registry: Mutex::new(registry),
             injector,
-            events: Mutex::new(Vec::new()),
+            events: Default::default(),
             pool,
             shutdown: AtomicBool::new(false),
         };
@@ -297,8 +289,8 @@ impl Fleet {
                     next_due: Instant::now(),
                 },
             );
-            self.push_event(FleetEvent { t_s: 0.0, job: id, node, kind: EventKind::Submitted });
         }
+        self.count(EventKind::Submitted, ids.len());
         drop(inner);
         self.cond.notify_all();
         Ok(ids)
@@ -347,28 +339,37 @@ impl Fleet {
         live.all(|j| j.state != JobState::Running) && self.wal.lock().check().is_err()
     }
 
-    /// All events so far.
-    pub fn events(&self) -> Vec<FleetEvent> {
-        self.events.lock().clone()
+    /// How many `kind` events this daemon has seen since it opened.
+    pub fn event_count(&self, kind: EventKind) -> u64 {
+        self.events[kind as usize].load(Ordering::Relaxed)
+    }
+
+    fn count(&self, kind: EventKind, n: usize) {
+        self.events[kind as usize].fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Rank the servers the fleet could finish evaluating, best mean
-    /// clean PPW first. Degraded results keep their flag; unfinished or
-    /// unscorable jobs are excluded — a degraded fleet still ranks what
-    /// it completed rather than reporting nothing.
-    pub fn ranking(&self) -> Vec<(String, f64, bool)> {
+    /// clean PPW first (see [`job::rank`]). Degraded results keep their
+    /// flag; unfinished or unscorable jobs are excluded — a degraded
+    /// fleet still ranks what it completed rather than reporting
+    /// nothing.
+    pub fn ranking(&self) -> Vec<RankedServer> {
         let inner = self.inner.lock();
-        let mut rows: Vec<(String, f64, bool)> = inner
+        let mut rows: Vec<RankedServer> = inner
             .jobs
             .values()
             .filter(|j| matches!(j.kind, JobKind::Evaluate { .. }))
             .filter(|j| matches!(j.state, JobState::Done | JobState::Degraded))
             .filter_map(|j| {
                 let r = j.result.as_ref()?;
-                Some((j.kind.server().to_string(), r.score?, r.degraded))
+                Some(RankedServer {
+                    server: j.kind.server().to_string(),
+                    ppw: r.score?,
+                    degraded: r.degraded,
+                })
             })
             .collect();
-        rows.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        job::rank(&mut rows);
         rows
     }
 
@@ -429,16 +430,10 @@ impl Fleet {
         if self.wal.lock().append_all(&group).is_err() {
             return Vec::new(); // unloggable claims don't run
         }
-        for &job in &due {
-            let rec = inner.jobs.get_mut(&job).expect("listed above");
-            rec.state = JobState::Running;
-            self.push_event(FleetEvent {
-                t_s: rec.checkpoint.len() as f64 * STATE_SLOT_S,
-                job,
-                node: rec.node,
-                kind: EventKind::Started { attempt: rec.attempts + 1 },
-            });
+        for job in &due {
+            inner.jobs.get_mut(job).expect("listed above").state = JobState::Running;
         }
+        self.count(EventKind::Started, due.len());
         due
     }
 
@@ -481,51 +476,34 @@ impl Fleet {
                 }
             }
             drop(inner);
-            let t_s = (row + 1) as f64 * STATE_SLOT_S;
-            self.push_event(FleetEvent {
-                t_s,
-                job: id,
-                node,
-                kind: EventKind::Checkpointed { row },
-            });
+            self.count(EventKind::Checkpointed, 1);
             if sus {
-                self.push_event(FleetEvent {
-                    t_s,
-                    job: id,
-                    node,
-                    kind: EventKind::MeterDropout { row },
-                });
+                self.count(EventKind::MeterDropout, 1);
             }
         });
         match outcome {
             AttemptOutcome::Completed { result } => Some(Finished::completed(id, node, result)),
             AttemptOutcome::Preempted => {
-                let done = {
+                {
                     let mut inner = self.inner.lock();
                     let rec = inner.jobs.get_mut(&id).expect("running");
                     rec.state = JobState::Queued;
                     rec.next_due = Instant::now();
-                    rec.checkpoint.len()
-                };
-                self.push_event(FleetEvent {
-                    t_s: done as f64 * STATE_SLOT_S,
-                    job: id,
-                    node,
-                    kind: EventKind::Preempted { row: done.saturating_sub(1) },
-                });
+                }
+                self.count(EventKind::Preempted, 1);
                 self.cond.notify_all();
                 None
             }
             AttemptOutcome::Crashed { at_step } => self.handle_crash(id, node, at_step),
-            AttemptOutcome::BadCheckpoint { reason } => Some(Finished {
+            AttemptOutcome::BadCheckpoint { .. } => Some(Finished {
                 entry: WalEntry::Done { job: id, state: JobState::Failed, result: None },
-                event: FleetEvent { t_s: 0.0, job: id, node, kind: EventKind::Failed { reason } },
+                node,
             }),
         }
     }
 
     /// Log the `done` lines of a scheduler batch as one group; only once
-    /// it is synced, apply the batch to memory and fire its events. If
+    /// it is synced, apply the batch to memory and count its events. If
     /// the group cannot be logged, every job in it goes back to the
     /// queue so a later attempt re-finishes it (none will while the WAL
     /// is poisoned).
@@ -533,8 +511,8 @@ impl Fleet {
         if finished.is_empty() {
             return;
         }
-        let (group, events): (Vec<WalEntry>, Vec<FleetEvent>) =
-            finished.into_iter().map(|f| (f.entry, f.event)).unzip();
+        let (group, nodes): (Vec<WalEntry>, Vec<usize>) =
+            finished.into_iter().map(|f| (f.entry, f.node)).unzip();
         let logged = {
             let mut wal = self.wal.lock();
             match wal.append_all(&group) {
@@ -546,10 +524,10 @@ impl Fleet {
                 Err(_) => group.iter().map(|entry| wal.append(entry).is_ok()).collect(),
             }
         };
-        let mut fired = Vec::with_capacity(events.len());
+        let mut ended = Vec::with_capacity(nodes.len());
         {
             let mut inner = self.inner.lock();
-            for ((entry, event), logged) in group.into_iter().zip(events).zip(logged) {
+            for ((entry, node), logged) in group.into_iter().zip(nodes).zip(logged) {
                 let WalEntry::Done { job, state, result } = entry else {
                     unreachable!("the done group holds done lines only")
                 };
@@ -557,7 +535,7 @@ impl Fleet {
                 if logged {
                     rec.state = state;
                     rec.result = result;
-                    fired.push(event);
+                    ended.push((node, state));
                 } else {
                     rec.state = JobState::Queued;
                     rec.next_due =
@@ -565,14 +543,17 @@ impl Fleet {
                 }
             }
         }
-        {
-            let mut registry = self.registry.lock();
-            for event in fired.iter().filter(|e| !matches!(e.kind, EventKind::Failed { .. })) {
-                registry.mark_finished(event.node);
+        let mut registry = self.registry.lock();
+        for (node, state) in ended {
+            let kind = match state {
+                JobState::Done => EventKind::Done,
+                JobState::Degraded => EventKind::Degraded,
+                _ => EventKind::Failed,
+            };
+            if kind != EventKind::Failed {
+                registry.mark_finished(node);
             }
-        }
-        for event in fired {
-            self.push_event(event);
+            self.count(kind, 1);
         }
     }
 
@@ -580,12 +561,7 @@ impl Fleet {
         self.registry
             .lock()
             .mark_crashed(node, Duration::from_millis(self.config.crash_holdoff_ms));
-        self.push_event(FleetEvent {
-            t_s: at_step as f64 * STATE_SLOT_S,
-            job: id,
-            node,
-            kind: EventKind::NodeCrashed,
-        });
+        self.count(EventKind::NodeCrashed, 1);
         let attempts = {
             let mut inner = self.inner.lock();
             let rec = inner.jobs.get_mut(&id).expect("running");
@@ -620,11 +596,8 @@ impl Fleet {
             .saturating_mul(1 << (attempts.saturating_sub(1)).min(16))
             .min(self.config.backoff_cap_ms);
         let reason = format!("node crashed before state {at_step}");
-        let logged = self.wal.lock().append(&WalEntry::Retry {
-            job: id,
-            attempt: attempts + 1,
-            reason: reason.clone(),
-        });
+        let retry = WalEntry::Retry { job: id, attempt: attempts + 1, reason };
+        let logged = self.wal.lock().append(&retry);
         {
             let mut inner = self.inner.lock();
             if let Some(rec) = inner.jobs.get_mut(&id) {
@@ -633,19 +606,10 @@ impl Fleet {
             }
         }
         if logged.is_ok() {
-            self.push_event(FleetEvent {
-                t_s: at_step as f64 * STATE_SLOT_S,
-                job: id,
-                node,
-                kind: EventKind::Retried { attempt: attempts + 1, backoff_ms: backoff, reason },
-            });
+            self.count(EventKind::Retried, 1);
         }
         self.cond.notify_all();
         None
-    }
-
-    fn push_event(&self, event: FleetEvent) {
-        self.events.lock().push(event);
     }
 
     /// Serve the wire protocol on `listener` until shutdown, on the
@@ -683,23 +647,13 @@ impl Fleet {
             )])
             .expect("static response encodes"),
             Request::Submit { jobs } => match self.submit(jobs) {
-                Ok(ids) => wire::ok_response(vec![
-                    ("accepted".to_string(), Value::UInt(ids.len() as u64)),
-                    ("ids".to_string(), Value::Seq(ids.into_iter().map(Value::UInt).collect())),
-                ])
-                .expect("ids encode"),
-                Err(FleetError::Backlog { retry_after_ms }) => {
-                    wire::error_response("queue full", Some(retry_after_ms))
-                }
-                Err(e) => wire::error_response(&e.to_string(), None),
+                Ok(ids) => wire::submit_response(&ids),
+                Err(e) => wire::error_to_response(&e),
             },
-            Request::Status { job } => status_response(self.status(job)),
-            Request::Drain => status_response(self.drain()),
-            Request::Ranking => ranking_response(self.ranking()),
-            Request::Shutdown => {
-                wire::ok_response(vec![("stopping".to_string(), Value::Bool(true))])
-                    .expect("static response encodes")
-            }
+            Request::Status { job } => wire::status_response(&self.status(job)),
+            Request::Drain => wire::status_response(&self.drain()),
+            Request::Ranking => wire::ranking_response(&self.ranking()),
+            Request::Shutdown => wire::shutdown_response(),
         }
     }
 }
@@ -721,7 +675,7 @@ impl server::Service for Fleet {
     }
 
     fn poll_ticket(&self, _ticket: u64) -> Option<String> {
-        self.drained_statuses().map(status_response)
+        self.drained_statuses().map(|jobs| wire::status_response(&jobs))
     }
 
     fn begin_shutdown(&self) {
@@ -730,34 +684,6 @@ impl server::Service for Fleet {
 
     fn shutting_down(&self) -> bool {
         self.is_shutting_down()
-    }
-}
-
-pub(crate) fn status_response(statuses: Vec<JobStatus>) -> String {
-    let jobs = Value::Seq(statuses.iter().map(Serialize::to_value).collect());
-    match wire::ok_response(vec![("jobs".to_string(), jobs)]) {
-        Ok(s) => s,
-        // A non-finite score would poison the frame; report it instead.
-        Err(e) => wire::error_response(&e.to_string(), None),
-    }
-}
-
-/// Encode `(server, ppw, degraded)` ranking rows as a wire response.
-pub(crate) fn ranking_response(rows: Vec<(String, f64, bool)>) -> String {
-    let seq = Value::Seq(
-        rows.into_iter()
-            .map(|(server, ppw, degraded)| {
-                Value::Map(vec![
-                    ("server".to_string(), Value::Str(server)),
-                    ("ppw".to_string(), Value::Float(ppw)),
-                    ("degraded".to_string(), Value::Bool(degraded)),
-                ])
-            })
-            .collect(),
-    );
-    match wire::ok_response(vec![("ranking".to_string(), seq)]) {
-        Ok(s) => s,
-        Err(e) => wire::error_response(&e.to_string(), None),
     }
 }
 
@@ -893,7 +819,7 @@ mod tests {
     }
 
     /// A done line that cannot be encoded (a non-finite score) fails on
-    /// its own: the rest of its batch still commits.
+    /// its own: the rest of its batch still commits, and only it counts.
     #[test]
     fn an_unencodable_done_line_does_not_stall_its_batch() {
         let path = wal_path("nonfinite");
@@ -920,6 +846,10 @@ mod tests {
         fleet.commit(vec![finished(ids[0], f64::NAN), finished(ids[1], 1.0)]);
         let states: Vec<String> = fleet.status(None).into_iter().map(|s| s.state).collect();
         assert_eq!(states, ["Queued", "Done"]);
+        // Only the logged line counts as finished.
+        let counts = [EventKind::Submitted, EventKind::Started, EventKind::Done]
+            .map(|kind| fleet.event_count(kind));
+        assert_eq!(counts, [2, 2, 1]);
         let done: Vec<JobId> = wal::replay(&path)
             .unwrap()
             .iter()
@@ -943,8 +873,8 @@ mod tests {
         fleet.drain();
         let ranking = fleet.ranking();
         assert_eq!(ranking.len(), 3);
-        assert!(ranking.windows(2).all(|w| w[0].1 >= w[1].1), "sorted best-first");
-        assert!(ranking.iter().all(|(_, _, degraded)| !degraded));
+        assert!(ranking.windows(2).all(|w| w[0].ppw >= w[1].ppw), "sorted best-first");
+        assert!(ranking.iter().all(|r| !r.degraded));
         fleet.request_shutdown();
         sched.join().unwrap();
         std::fs::remove_file(&path).unwrap();

@@ -249,8 +249,10 @@ pub struct JobRecord {
     pub next_due: std::time::Instant,
 }
 
-/// A wire-friendly snapshot of one job, served by `status`.
-#[derive(Debug, Clone, Serialize)]
+/// A wire-friendly snapshot of one job, served by `status`. The daemon
+/// encodes it with the derived `Serialize`, and the router and the
+/// client decode it with [`JobStatus::from_value`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobStatus {
     /// Job id.
     pub id: JobId,
@@ -272,6 +274,59 @@ pub struct JobStatus {
     pub degraded: bool,
     /// Degradation notes.
     pub notes: Vec<String>,
+}
+
+impl JobStatus {
+    /// Parse a snapshot from its wire `Value` form.
+    pub fn from_value(v: &Value) -> Option<JobStatus> {
+        Some(JobStatus {
+            id: v.get("id")?.as_u64()?,
+            kind: v.get("kind")?.as_str()?.to_string(),
+            server: v.get("server")?.as_str()?.to_string(),
+            state: v.get("state")?.as_str()?.to_string(),
+            attempts: v.get("attempts")?.as_u64()? as u32,
+            rows_done: v.get("rows_done")?.as_u64()? as usize,
+            total_steps: v.get("total_steps")?.as_u64()? as usize,
+            score: v.get("score").and_then(Value::as_f64),
+            degraded: v.get("degraded")?.as_bool()?,
+            notes: v
+                .get("notes")?
+                .as_seq()?
+                .iter()
+                .map(|n| n.as_str().map(str::to_string))
+                .collect::<Option<Vec<_>>>()?,
+        })
+    }
+}
+
+/// One row of the §V ranking: a server's mean clean PPW from one
+/// finished Evaluate job.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct RankedServer {
+    /// Server name.
+    pub server: String,
+    /// Mean clean performance-per-watt score.
+    pub ppw: f64,
+    /// True when the score came from a degraded (partial) evaluation.
+    pub degraded: bool,
+}
+
+impl RankedServer {
+    /// Parse a row from its wire `Value` form.
+    pub fn from_value(v: &Value) -> Option<RankedServer> {
+        Some(RankedServer {
+            server: v.get("server")?.as_str()?.to_string(),
+            ppw: v.get("ppw")?.as_f64()?,
+            degraded: v.get("degraded")?.as_bool()?,
+        })
+    }
+}
+
+/// Order ranking rows best first: PPW descending, ties by server name.
+/// The daemon and the router both rank through this one comparator, so
+/// a merged ranking is the order one daemon owning every job reports.
+pub fn rank(rows: &mut [RankedServer]) {
+    rows.sort_by(|a, b| b.ppw.total_cmp(&a.ppw).then_with(|| a.server.cmp(&b.server)));
 }
 
 impl JobRecord {
@@ -319,6 +374,19 @@ mod tests {
             let v = k.to_value();
             assert_eq!(JobKind::from_value(&v), Some(k.clone()), "{k:?}");
         }
+    }
+
+    /// Equal PPW falls back to the server name, ascending; the PPW order
+    /// itself is best first.
+    #[test]
+    fn rank_orders_by_ppw_then_name() {
+        let row =
+            |server: &str, ppw: f64| RankedServer { server: server.into(), ppw, degraded: false };
+        let mut rows =
+            vec![row("b", 0.5), row("c", 0.5), row("z", 0.1), row("a", 0.5), row("y", 0.9)];
+        rank(&mut rows);
+        let order: Vec<&str> = rows.iter().map(|r| r.server.as_str()).collect();
+        assert_eq!(order, ["y", "a", "b", "c", "z"]);
     }
 
     #[test]

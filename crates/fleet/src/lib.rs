@@ -42,7 +42,9 @@
 //!   autotuner cell as a WAL-backed `Tune` job through the sharded
 //!   router; a killed shard's replay reproduces the energy-delay
 //!   Pareto frontier bitwise.
-//! - **Observability** ([`events`]): job lifecycle events.
+//! - **Observability** ([`events`]): per-kind lifecycle counters
+//!   (`Fleet::event_count`), bounded for a daemon of any age; the WAL
+//!   holds each job's durable history.
 
 pub mod client;
 pub mod codec;
@@ -60,12 +62,15 @@ pub mod sweep;
 pub mod wal;
 pub mod wire;
 
-pub use client::{FleetClient, RankedServer, RemoteJob};
+pub use client::FleetClient;
 pub use daemon::{Fleet, FleetConfig};
 pub use error::FleetError;
-pub use events::{EventKind, FleetEvent};
+pub use events::EventKind;
 pub use fault::{AttemptFaults, FaultInjector, FaultPlan};
-pub use job::{JobId, JobKind, JobResult, JobState, JobStatus};
+/// The old name of [`JobStatus`]. Its one user is
+/// `benchmark/src/fleet.rs`; the alias goes when that file moves off it.
+pub use job::JobStatus as RemoteJob;
+pub use job::{JobId, JobKind, JobResult, JobState, JobStatus, RankedServer};
 pub use pool::{PendingReply, PoolConfig, ShardPool};
 pub use registry::{NodeInfo, Registry};
 pub use router::Router;

@@ -68,10 +68,8 @@ use serde::Value;
 
 use hpceval_trace::splitmix64;
 
-use crate::client::{decode_jobs, decode_ranking, remote_job_to_value, RankedServer, RemoteJob};
-use crate::daemon::ranking_response;
 use crate::error::FleetError;
-use crate::job::{JobId, JobKind};
+use crate::job::{self, JobId, JobKind, JobStatus, RankedServer};
 use crate::pool::{PendingReply, PoolConfig, ShardPool};
 use crate::server::{self, Action, Service, Waker};
 use crate::wire::{self, Request};
@@ -250,14 +248,7 @@ impl Router {
         let mut ids = vec![0u64; total];
         for (part, positions) in parts.into_iter().zip(positions) {
             let shard = part.shard;
-            let v = take_done(part)?;
-            let locals: Vec<JobId> = v
-                .get("ids")
-                .and_then(Value::as_seq)
-                .map(|ids| ids.iter().filter_map(Value::as_u64).collect())
-                .ok_or_else(|| {
-                    FleetError::Protocol(format!("shard {shard} submit response lacks ids"))
-                })?;
+            let locals = take_done(part, wire::decode_ids)?;
             if locals.len() != positions.len() {
                 return Err(FleetError::Protocol(format!(
                     "shard {shard} returned a short id batch: {} ids for {} jobs",
@@ -272,13 +263,15 @@ impl Router {
         Ok(ids)
     }
 
-    fn assemble_jobs(&self, parts: Vec<Part>) -> Result<Vec<RemoteJob>, FleetError> {
+    fn assemble_jobs(&self, parts: Vec<Part>) -> Result<Vec<JobStatus>, FleetError> {
         let mut merged = Vec::new();
         for part in parts {
             let shard = part.shard;
-            let mut jobs = decode_jobs(take_done(part)?)?;
-            self.globalize(shard, &mut jobs);
-            merged.append(&mut jobs);
+            let jobs = take_done(part, wire::decode_jobs)?;
+            merged.extend(
+                jobs.into_iter()
+                    .map(|job| JobStatus { id: self.to_global(shard, job.id), ..job }),
+            );
         }
         merged.sort_by_key(|j| j.id);
         Ok(merged)
@@ -297,7 +290,7 @@ impl Router {
 
     /// Status snapshots with global ids: one job routes to its owning
     /// shard; a whole-fleet snapshot merges every shard's view.
-    pub fn status(&self, job: Option<JobId>) -> Result<Vec<RemoteJob>, FleetError> {
+    pub fn status(&self, job: Option<JobId>) -> Result<Vec<JobStatus>, FleetError> {
         match self.finish(self.start_status(job)?) {
             AssembledOp::Jobs(jobs) => jobs,
             _ => unreachable!("status op assembles to jobs"),
@@ -306,7 +299,7 @@ impl Router {
 
     /// Drain every shard (concurrently; completes when all queues are
     /// dry) and merge the final statuses.
-    pub fn drain(&self) -> Result<Vec<RemoteJob>, FleetError> {
+    pub fn drain(&self) -> Result<Vec<JobStatus>, FleetError> {
         match self.finish(PendingOp::Jobs { parts: self.start_fan(&Request::Drain)? }) {
             AssembledOp::Jobs(jobs) => jobs,
             _ => unreachable!("drain op assembles to jobs"),
@@ -314,9 +307,9 @@ impl Router {
     }
 
     /// The merged §V ranking: per-shard rankings concatenated and
-    /// re-sorted with the daemon's exact comparator (best mean clean
-    /// PPW first, name-tiebroken), so the merged order is identical to
-    /// what one daemon owning every job would report.
+    /// re-sorted by [`job::rank`], the comparator the daemon ranks with
+    /// (best mean clean PPW first, name-tiebroken), so the merged order
+    /// is identical to what one daemon owning every job would report.
     pub fn ranking(&self) -> Result<Vec<RankedServer>, FleetError> {
         match self.finish(PendingOp::Ranking { parts: self.start_fan(&Request::Ranking)? }) {
             AssembledOp::Ranking(rows) => rows,
@@ -355,12 +348,6 @@ impl Router {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    fn globalize(&self, shard: usize, jobs: &mut [RemoteJob]) {
-        for job in jobs {
-            job.id = self.to_global(shard, job.id);
-        }
-    }
-
     /// Park a started fan-out under a fresh ticket for the readiness
     /// loop to poll, or answer the start-up error inline.
     fn defer(&self, op: Result<PendingOp, FleetError>) -> Action {
@@ -370,7 +357,7 @@ impl Router {
                 self.pending.lock().insert(ticket, op);
                 Action::Defer(ticket)
             }
-            Err(e) => Action::Reply(error_to_response(&e)),
+            Err(e) => Action::Reply(wire::error_to_response(&e)),
         }
     }
 }
@@ -379,34 +366,30 @@ impl Router {
 /// doors and the deferred wire path.
 enum AssembledOp {
     Submit(Result<Vec<JobId>, FleetError>),
-    Jobs(Result<Vec<RemoteJob>, FleetError>),
+    Jobs(Result<Vec<JobStatus>, FleetError>),
     Ranking(Result<Vec<RankedServer>, FleetError>),
 }
 
 impl AssembledOp {
     fn into_response(self) -> String {
         match self {
-            AssembledOp::Submit(Ok(ids)) => wire::ok_response(vec![
-                ("accepted".to_string(), Value::UInt(ids.len() as u64)),
-                ("ids".to_string(), Value::Seq(ids.into_iter().map(Value::UInt).collect())),
-            ])
-            .expect("ids encode"),
-            AssembledOp::Jobs(Ok(jobs)) => jobs_response(&jobs),
-            AssembledOp::Ranking(Ok(rows)) => {
-                ranking_response(rows.into_iter().map(|r| (r.server, r.ppw, r.degraded)).collect())
-            }
+            AssembledOp::Submit(Ok(ids)) => wire::submit_response(&ids),
+            AssembledOp::Jobs(Ok(jobs)) => wire::status_response(&jobs),
+            AssembledOp::Ranking(Ok(rows)) => wire::ranking_response(&rows),
             AssembledOp::Submit(Err(e))
             | AssembledOp::Jobs(Err(e))
-            | AssembledOp::Ranking(Err(e)) => error_to_response(&e),
+            | AssembledOp::Ranking(Err(e)) => wire::error_to_response(&e),
         }
     }
 }
 
-/// A part's reply; a shard-side error names the shard it came from.
-fn take_done(part: Part) -> Result<Value, FleetError> {
+/// A part's reply, decoded; a shard-side or decode error names the
+/// shard it came from.
+fn take_done<T>(part: Part, decode: fn(&Value) -> Result<T, FleetError>) -> Result<T, FleetError> {
     let shard = part.shard;
     part.done
         .expect("part polled or waited to completion before assembly")
+        .and_then(|v| decode(&v))
         .map_err(|e| match e {
             FleetError::Remote(msg) => FleetError::Remote(format!("shard {shard}: {msg}")),
             FleetError::Protocol(msg) => FleetError::Protocol(format!("shard {shard}: {msg}")),
@@ -424,27 +407,10 @@ fn wait_parts(parts: Vec<Part>) -> Vec<Part> {
 fn assemble_ranking(parts: Vec<Part>) -> Result<Vec<RankedServer>, FleetError> {
     let mut rows: Vec<RankedServer> = Vec::new();
     for part in parts {
-        rows.extend(decode_ranking(take_done(part)?)?);
+        rows.extend(take_done(part, wire::decode_ranking)?);
     }
-    rows.sort_by(|a, b| b.ppw.total_cmp(&a.ppw).then_with(|| a.server.cmp(&b.server)));
+    job::rank(&mut rows);
     Ok(rows)
-}
-
-fn jobs_response(jobs: &[RemoteJob]) -> String {
-    let seq = Value::Seq(jobs.iter().map(remote_job_to_value).collect());
-    match wire::ok_response(vec![("jobs".to_string(), seq)]) {
-        Ok(s) => s,
-        Err(e) => wire::error_response(&e.to_string(), None),
-    }
-}
-
-fn error_to_response(e: &FleetError) -> String {
-    match e {
-        FleetError::Backlog { retry_after_ms } => {
-            wire::error_response("queue full", Some(*retry_after_ms))
-        }
-        other => wire::error_response(&other.to_string(), None),
-    }
 }
 
 impl Service for Router {
@@ -469,9 +435,8 @@ impl Service for Router {
                 // durable before the router acknowledges. Blocking the
                 // loop here is fine: this request ends it.
                 let response = match self.shutdown_shards() {
-                    Ok(()) => wire::ok_response(vec![("stopping".to_string(), Value::Bool(true))])
-                        .expect("static response encodes"),
-                    Err(e) => error_to_response(&e),
+                    Ok(()) => wire::shutdown_response(),
+                    Err(e) => wire::error_to_response(&e),
                 };
                 Action::ReplyThenShutdown(response)
             }
@@ -509,6 +474,8 @@ impl Service for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{Fleet, FleetConfig};
+    use crate::registry::Registry;
 
     fn router_with(n: usize) -> Router {
         // Build the shard table without live daemons: tests below only
@@ -557,26 +524,57 @@ mod tests {
         }
     }
 
+    /// `n` shard daemons serving on ephemeral ports, each with its
+    /// scheduler running.
+    struct Shards {
+        fleets: Vec<Arc<Fleet>>,
+        addrs: Vec<String>,
+        threads: Vec<std::thread::JoinHandle<Result<(), FleetError>>>,
+        wals: Vec<std::path::PathBuf>,
+    }
+
+    impl Shards {
+        fn serve(n: usize, tag: &str) -> Shards {
+            let mut shards = Shards {
+                fleets: Vec::new(),
+                addrs: Vec::new(),
+                threads: Vec::new(),
+                wals: Vec::new(),
+            };
+            for s in 0..n {
+                let wal = std::env::temp_dir()
+                    .join(format!("hpceval-router-{tag}-{}-{s}.wal", std::process::id()));
+                let _ = std::fs::remove_file(&wal);
+                let fleet =
+                    Fleet::open(FleetConfig::default(), Registry::with_presets(), &wal).unwrap();
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                shards.addrs.push(listener.local_addr().unwrap().to_string());
+                let scheduler = fleet.start_scheduler();
+                let serving = Arc::clone(&fleet);
+                shards.threads.push(std::thread::spawn(move || {
+                    let served = serving.serve(listener);
+                    scheduler.join().unwrap();
+                    served
+                }));
+                shards.fleets.push(fleet);
+                shards.wals.push(wal);
+            }
+            shards
+        }
+
+        fn stop(self, router: &Router) {
+            router.shutdown_shards().unwrap();
+            for (thread, wal) in self.threads.into_iter().zip(self.wals) {
+                thread.join().unwrap().unwrap();
+                std::fs::remove_file(wal).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn a_relayed_shard_refusal_names_the_owning_shard() {
-        use crate::daemon::{Fleet, FleetConfig};
-        use crate::registry::Registry;
-
-        let mut addrs = Vec::new();
-        let mut wals = Vec::new();
-        let mut threads = Vec::new();
-        for s in 0..2 {
-            let wal = std::env::temp_dir()
-                .join(format!("hpceval-router-refusal-{}-{s}.wal", std::process::id()));
-            let _ = std::fs::remove_file(&wal);
-            let fleet =
-                Fleet::open(FleetConfig::default(), Registry::with_presets(), &wal).unwrap();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            addrs.push(listener.local_addr().unwrap().to_string());
-            threads.push(std::thread::spawn(move || fleet.serve(listener)));
-            wals.push(wal);
-        }
-        let router = Router::connect(&addrs).unwrap();
+        let shards = Shards::serve(2, "refusal");
+        let router = Router::connect(&shards.addrs).unwrap();
         // The first submit draws router key 0.
         let owner = router.shard_of(0);
         let job = JobKind::Green500 { server: "no-such-server".to_string() };
@@ -585,11 +583,48 @@ mod tests {
             matches!(&err, FleetError::Remote(msg) if msg.starts_with(&format!("shard {owner}: "))),
             "the refusal must name shard {owner}: {err}"
         );
-        router.shutdown_shards().unwrap();
-        for (thread, wal) in threads.into_iter().zip(wals) {
-            thread.join().unwrap().unwrap();
-            std::fs::remove_file(wal).unwrap();
-        }
+        shards.stop(&router);
+    }
+
+    /// DESIGN §15's promise: the router's merged ranking is, bit for bit,
+    /// the ranking one daemon owning every job reports.
+    #[test]
+    fn a_sharded_ranking_equals_one_daemons_bitwise() {
+        let jobs: Vec<JobKind> = ["xeon-e5462", "opteron-8347", "xeon-4870"]
+            .iter()
+            .flat_map(|server| {
+                (1..=2).map(|seed| JobKind::Evaluate { server: server.to_string(), seed })
+            })
+            .collect();
+        let bits = |rows: &[RankedServer]| -> Vec<(String, u64, bool)> {
+            rows.iter().map(|r| (r.server.clone(), r.ppw.to_bits(), r.degraded)).collect()
+        };
+
+        let wal = std::env::temp_dir()
+            .join(format!("hpceval-router-parity-{}-single.wal", std::process::id()));
+        let _ = std::fs::remove_file(&wal);
+        let single = Fleet::open(FleetConfig::default(), Registry::with_presets(), &wal).unwrap();
+        let scheduler = single.start_scheduler();
+        single.submit(jobs.clone()).unwrap();
+        single.drain();
+        single.request_shutdown();
+        scheduler.join().unwrap();
+        std::fs::remove_file(wal).unwrap();
+        let want = bits(&single.ranking());
+        assert_eq!(want.len(), jobs.len(), "every evaluation is ranked");
+
+        let shards = Shards::serve(3, "parity");
+        let router = Router::connect(&shards.addrs).unwrap();
+        router.submit(jobs).unwrap();
+        router.drain().unwrap();
+        let got = bits(&router.ranking().unwrap());
+        // The set must be one that a router skipping the re-rank gets
+        // wrong: the shards' own rankings, concatenated in shard order.
+        let concatenated: Vec<RankedServer> =
+            shards.fleets.iter().flat_map(|fleet| fleet.ranking()).collect();
+        assert_ne!(bits(&concatenated), want, "the job set must straddle the shards");
+        shards.stop(&router);
+        assert_eq!(got, want, "the merged ranking must be one daemon's ranking");
     }
 
     #[test]

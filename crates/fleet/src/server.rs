@@ -138,7 +138,7 @@ impl Conn {
             Err(e) => {
                 // Response too large to frame: report that instead of
                 // wedging the connection, then drop it.
-                let fallback = wire::error_response(&e.to_string(), None);
+                let fallback = wire::error_to_response(&e);
                 self.outbox.extend_from_slice(
                     &wire::encode_frame(&fallback).expect("error responses are small"),
                 );
@@ -184,21 +184,20 @@ impl Conn {
                     },
                     // A malformed op in a well-formed envelope gets a
                     // tagged error response; the connection survives.
-                    Ok((id, Err(e))) => self.queue_response(&wire::attach_id(
-                        id,
-                        &wire::error_response(&e.to_string(), None),
-                    )),
+                    Ok((id, Err(e))) => {
+                        self.queue_response(&wire::attach_id(id, &wire::error_to_response(&e)))
+                    }
                     // Unroutable frame (bad JSON, version mismatch, no
                     // id): no id to tag, so answer untagged; the
                     // connection survives — the stream itself is still
                     // framed correctly.
-                    Err(e) => self.queue_response(&wire::error_response(&e.to_string(), None)),
+                    Err(e) => self.queue_response(&wire::error_to_response(&e)),
                 },
                 Ok(None) => break,
                 Err(e) => {
                     // Unframeable stream (oversize/torn prefix): reply,
                     // then close — the byte stream cannot be resynced.
-                    self.queue_response(&wire::error_response(&e.to_string(), None));
+                    self.queue_response(&wire::error_to_response(&e));
                     self.close_after_flush = true;
                 }
             }

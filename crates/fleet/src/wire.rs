@@ -37,11 +37,11 @@
 
 use std::io::{Read, Write};
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 use crate::codec;
 use crate::error::FleetError;
-use crate::job::JobKind;
+use crate::job::{JobId, JobKind, JobStatus, RankedServer};
 
 /// Frame-size ceiling (1 MiB): larger payloads are protocol errors.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -52,18 +52,15 @@ pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Write one frame: 4-byte big-endian length, then the JSON payload.
 pub fn write_frame(w: &mut impl Write, json: &str) -> Result<(), FleetError> {
-    if json.len() > MAX_FRAME {
-        return Err(FleetError::Protocol(format!("frame of {} bytes exceeds cap", json.len())));
-    }
-    w.write_all(&(json.len() as u32).to_be_bytes())?;
-    w.write_all(json.as_bytes())?;
+    w.write_all(&encode_frame(json)?)?;
     w.flush()?;
     Ok(())
 }
 
 /// Encode one frame into a byte vector (prefix + payload) without
 /// touching a socket — the readiness loop's write state machine needs
-/// the bytes up front so it can flush them across partial writes.
+/// the bytes up front so it can flush them across partial writes. The
+/// one place the [`MAX_FRAME`] cap is checked on the way out.
 pub fn encode_frame(json: &str) -> Result<Vec<u8>, FleetError> {
     if json.len() > MAX_FRAME {
         return Err(FleetError::Protocol(format!("frame of {} bytes exceeds cap", json.len())));
@@ -345,6 +342,85 @@ pub fn decode_tagged_response(
     Ok((id, body))
 }
 
+// --- response bodies -------------------------------------------------
+//
+// Each op's body has one encoder and one decoder here. The daemon and
+// the router encode with them, the router and the client decode with
+// them, so a body has one form in both directions.
+
+/// An encoded success body, or the error body that reports why the
+/// body does not encode (a non-finite score would poison the frame).
+fn ok_or_error(extra: Vec<(String, Value)>) -> String {
+    ok_response(extra).unwrap_or_else(|e| error_to_response(&e))
+}
+
+/// `{"ok":true,"accepted":N,"ids":[...]}`: the ids a submit assigned.
+pub fn submit_response(ids: &[JobId]) -> String {
+    ok_or_error(vec![
+        ("accepted".to_string(), Value::UInt(ids.len() as u64)),
+        ("ids".to_string(), ids.to_value()),
+    ])
+}
+
+/// The ids of a submit response, in submission order.
+pub fn decode_ids(v: &Value) -> Result<Vec<JobId>, FleetError> {
+    v.get("ids")
+        .and_then(Value::as_seq)
+        .map(|ids| ids.iter().filter_map(Value::as_u64).collect())
+        .ok_or_else(|| FleetError::Protocol("submit response lacks ids".to_string()))
+}
+
+/// `{"ok":true,"jobs":[...]}`: status and drain snapshots.
+pub fn status_response(jobs: &[JobStatus]) -> String {
+    ok_or_error(vec![("jobs".to_string(), jobs.to_value())])
+}
+
+/// The snapshots of a status or drain response.
+pub fn decode_jobs(v: &Value) -> Result<Vec<JobStatus>, FleetError> {
+    decode_seq(v, "jobs", JobStatus::from_value, "unparseable job snapshot")
+}
+
+/// `{"ok":true,"ranking":[...]}`: the §V ranking rows, best first.
+pub fn ranking_response(rows: &[RankedServer]) -> String {
+    ok_or_error(vec![("ranking".to_string(), rows.to_value())])
+}
+
+/// The rows of a ranking response.
+pub fn decode_ranking(v: &Value) -> Result<Vec<RankedServer>, FleetError> {
+    decode_seq(v, "ranking", RankedServer::from_value, "unparseable ranking row")
+}
+
+fn decode_seq<T>(
+    v: &Value,
+    key: &str,
+    item: fn(&Value) -> Option<T>,
+    unparseable: &str,
+) -> Result<Vec<T>, FleetError> {
+    v.get(key)
+        .and_then(Value::as_seq)
+        .ok_or_else(|| FleetError::Protocol(format!("response lacks {key}")))?
+        .iter()
+        .map(|x| item(x).ok_or_else(|| FleetError::Protocol(unparseable.to_string())))
+        .collect()
+}
+
+/// `{"ok":true,"stopping":true}`: the shutdown acknowledgement.
+pub fn shutdown_response() -> String {
+    ok_or_error(vec![("stopping".to_string(), Value::Bool(true))])
+}
+
+/// The error body for `e`; a backlog keeps its retry hint, which is
+/// how [`decode_tagged_response`] turns it back into
+/// [`FleetError::Backlog`].
+pub fn error_to_response(e: &FleetError) -> String {
+    match e {
+        FleetError::Backlog { retry_after_ms } => {
+            error_response("queue full", Some(*retry_after_ms))
+        }
+        other => error_response(&other.to_string(), None),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,5 +580,42 @@ mod tests {
 
         let plain = error_response("unknown server", None);
         assert!(matches!(decode_response(&plain), Err(FleetError::Remote(_))));
+    }
+
+    #[test]
+    fn op_bodies_round_trip_through_their_decoders() {
+        let ids = [3, 0, 7];
+        assert_eq!(decode_ids(&decode_response(&submit_response(&ids)).unwrap()).unwrap(), ids);
+
+        let degraded = JobStatus {
+            id: 4,
+            kind: "evaluate".into(),
+            server: "Xeon-4870".into(),
+            state: "Degraded".into(),
+            attempts: 2,
+            rows_done: 6,
+            total_steps: 10,
+            score: Some(0.25),
+            degraded: true,
+            notes: vec!["partial".into()],
+        };
+        let queued = JobStatus { score: None, state: "Queued".into(), ..degraded.clone() };
+        let jobs = [degraded, queued];
+        assert_eq!(decode_jobs(&decode_response(&status_response(&jobs)).unwrap()).unwrap(), jobs);
+
+        let rows = [RankedServer { server: "Xeon-E5462".into(), ppw: 0.06, degraded: true }];
+        assert_eq!(
+            decode_ranking(&decode_response(&ranking_response(&rows)).unwrap()).unwrap(),
+            rows
+        );
+
+        let backlog = error_to_response(&FleetError::Backlog { retry_after_ms: 25 });
+        assert!(matches!(
+            decode_response(&backlog),
+            Err(FleetError::Backlog { retry_after_ms: 25 })
+        ));
+        // A body that cannot be encoded reports itself instead.
+        let nan = [RankedServer { ppw: f64::NAN, ..rows[0].clone() }];
+        assert!(matches!(decode_response(&ranking_response(&nan)), Err(FleetError::Remote(_))));
     }
 }

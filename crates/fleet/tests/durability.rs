@@ -55,13 +55,7 @@ fn killed_daemon_resumes_without_losing_jobs_or_finished_rows() {
         // Let it checkpoint some rows, then "kill" it: request the
         // scheduler stop mid-queue and drop the process state. The WAL
         // is whatever had been synced at that instant.
-        while fleet
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Checkpointed { .. }))
-            .count()
-            < 4
-        {
+        while fleet.event_count(EventKind::Checkpointed) < 4 {
             std::thread::sleep(Duration::from_millis(1));
         }
         fleet.request_shutdown();
@@ -151,9 +145,8 @@ fn faulty_twenty_job_queue_drains_fully_flagged() {
 
     // The injector really fired: this seed produces crashes and the
     // retries they imply.
-    let events = fleet.events();
-    assert!(events.iter().any(|e| matches!(e.kind, EventKind::NodeCrashed)), "crashes occurred");
-    assert!(events.iter().any(|e| matches!(e.kind, EventKind::Retried { .. })), "retries occurred");
+    assert!(fleet.event_count(EventKind::NodeCrashed) > 0, "crashes occurred");
+    assert!(fleet.event_count(EventKind::Retried) > 0, "retries occurred");
 
     // Degraded-not-averaged: a flagged evaluate job's score must equal
     // the mean over its clean rows only (recomputed independently).

@@ -13,6 +13,13 @@
 //! `HPCEVAL_THREADS=4`; when that variable is set it pins every width
 //! below to the same value, and the whole suite must still pass at
 //! either pin.
+//!
+//! `NpbRng::next_f64` values lie on a 2^-46 grid, where a sum of a few
+//! of them is exact in any order, so raw values would hide a reordered
+//! sum. Every raw input below is summed only together with rounded
+//! products (the DGEMM k-sums; the BT, SP and LU right-hand sides
+//! against their coupling·u terms), and the trace test compares
+//! addresses, not values, so the inputs stay raw.
 
 use hpceval_kernels::hpcc::dgemm::{dgemm, dgemm_naive};
 use hpceval_kernels::hpcc::stream;

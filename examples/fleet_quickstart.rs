@@ -58,15 +58,12 @@ fn main() {
     }
 
     println!("\nranking (mean clean PPW, degraded results flagged, never averaged in):");
-    for (name, ppw, degraded) in fleet.ranking() {
-        println!("  {name:<12} {ppw:.4} GFLOPS/W{}", if degraded { "  (degraded)" } else { "" });
+    for row in fleet.ranking() {
+        let flag = if row.degraded { "  (degraded)" } else { "" };
+        println!("  {:<12} {:.4} GFLOPS/W{flag}", row.server, row.ppw);
     }
 
-    let crashes = fleet
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, hpceval::fleet::EventKind::NodeCrashed))
-        .count();
+    let crashes = fleet.event_count(hpceval::fleet::EventKind::NodeCrashed);
     println!("\n{crashes} node crash(es) injected");
 
     fleet.request_shutdown();

@@ -844,11 +844,7 @@ fn fleet_smoke(args: &[String]) -> ExitCode {
         client.drain()
     })();
 
-    let crashes = fleet
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::NodeCrashed))
-        .count();
+    let crashes = fleet.event_count(EventKind::NodeCrashed);
     // Tear the daemon down regardless of the verdict.
     fleet.request_shutdown();
     scheduler.join().expect("scheduler thread");

@@ -78,6 +78,18 @@ fn monitor_takes_the_largest_seed_and_repeats_itself() {
     assert_eq!(a.stdout, b.stdout, "one seed, one output");
 }
 
+/// Each of the 3 servers runs a program of 6 power edges, and each edge
+/// is one spike: a looser threshold reports noise as spikes too. (Seed
+/// 7; some seeds drop a sample during the detector's warm-up and miss
+/// the first edge.)
+#[test]
+fn monitor_reports_one_power_spike_per_edge() {
+    let out = hpceval(&["monitor", "xeon-e5462", "7"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(text.matches("power spike").count(), 18, "{text}");
+}
+
 #[test]
 fn servers_listing_succeeds() {
     let out = hpceval(&["servers"]);
