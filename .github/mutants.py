@@ -41,9 +41,15 @@ MUTANTS = [
     },
     {
         "file": "crates/fleet/src/router.rs",
-        "old": "    job::rank(&mut rows);\n    Ok(rows)",
-        "new": "    Ok(rows)",
+        "old": "        job::rank(&mut rows);\n        Ok(rows)",
+        "new": "        Ok(rows)",
         "breaks": "the router's merged ranking is the one a single daemon reports",
+    },
+    {
+        "file": "crates/fleet/src/pool.rs",
+        "old": "_ if n > 1 => 1 + self.next_lane.fetch_add(1, Ordering::Relaxed) % (n - 1),",
+        "new": "_ if n > 1 => self.next_lane.fetch_add(1, Ordering::Relaxed) % n,",
+        "breaks": "reads keep off the pool lane a drain holds, so statuses answer during a drain",
     },
     {
         "file": "crates/telemetry/src/monitor.rs",

@@ -6,7 +6,8 @@
 //! closes the loop instead: it *runs* the instrumented kernels at small
 //! scale under the trace recorder (every chunk recorded), replays the
 //! captured address streams through the server's simulated cache
-//! hierarchy, converts the replayed [`TraceCounters`] into per-program
+//! hierarchy, converts the replayed
+//! [`TraceCounters`](hpceval_trace::TraceCounters) into per-program
 //! locality profiles, and re-runs the full train/validate pipeline with
 //! those measured profiles substituted for the analytic ones. The end-to-end claim checked by
 //! the tests: the paper's R² ordering (train ≈ 0.94 ≫ NPB-B ≈ 0.63 ≳

@@ -23,6 +23,12 @@
 //! more is claimed, and [`Fleet::drain`] returns once nothing is left
 //! running instead of waiting for jobs that can never finish.
 //!
+//! The TCP front-end ([`Fleet::serve`]) is the one the router shares:
+//! a thread per live connection, answering that connection's frames in
+//! order. A wire `drain` is a blocking [`Fleet::drain`] on its
+//! connection's thread; requests on other connections go on being
+//! answered meanwhile.
+//!
 //! Scheduling policy:
 //! - A queued job runs once its backoff deadline has passed and its
 //!   pinned node is healthy (crash hold-offs park the node briefly).
@@ -37,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,7 +61,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::job::{self, JobId, JobKind, JobRecord, JobResult, JobState, JobStatus, RankedServer};
 use crate::registry::Registry;
 use crate::runner::{run_attempt, AttemptOutcome};
-use crate::server;
+use crate::server::{self, Stop};
 use crate::wal::{self, WalEntry, WalWriter};
 use crate::wire::{self, Request};
 
@@ -127,7 +133,7 @@ pub struct Fleet {
     /// Lifecycle event counts, indexed by [`EventKind`].
     events: [AtomicU64; EventKind::COUNT],
     pool: ThreadPool,
-    shutdown: AtomicBool,
+    stop: Stop,
 }
 
 impl Fleet {
@@ -154,7 +160,7 @@ impl Fleet {
             injector,
             events: Default::default(),
             pool,
-            shutdown: AtomicBool::new(false),
+            stop: Stop::default(),
         };
         fleet.restore(entries);
         Ok(Arc::new(fleet))
@@ -373,15 +379,16 @@ impl Fleet {
         rows
     }
 
-    /// Ask the daemon loops to stop.
+    /// Ask the daemon loops to stop: the scheduler, any waiting
+    /// [`Fleet::drain`], and a running [`Fleet::serve`].
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.set();
         self.cond.notify_all();
     }
 
     /// True once shutdown was requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.stop.is_set()
     }
 
     /// Spawn the scheduler thread. It claims due jobs, dispatches the
@@ -612,34 +619,17 @@ impl Fleet {
         None
     }
 
-    /// Serve the wire protocol on `listener` until shutdown, on the
-    /// single-threaded readiness loop (see the [`crate::server`]
-    /// module): no handler thread per connection, and a shutdown
-    /// request is honored within one poll tick.
+    /// Serve the wire protocol on `listener` until shutdown, a thread
+    /// per live connection (see [`Router::serve`](crate::Router::serve)
+    /// for the same front-end). A wire `drain` holds up later frames on
+    /// its own connection only.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> Result<(), FleetError> {
-        server::serve_readiness(&**self, listener)
+        server::serve(&**self, listener)
     }
+}
 
-    /// Stop accepting submits without waiting for the queue to dry —
-    /// the non-blocking half of [`Fleet::drain`], paired with
-    /// [`Fleet::drained_statuses`] for completion polling.
-    pub fn begin_drain(&self) {
-        self.inner.lock().accepting = false;
-        self.cond.notify_all();
-    }
-
-    /// Non-blocking drain-completion check: the full status report once
-    /// a requested drain has settled, as [`Fleet::drain`] defines it.
-    pub fn drained_statuses(&self) -> Option<Vec<JobStatus>> {
-        let inner = self.inner.lock();
-        if !inner.accepting && self.settled(&inner) {
-            Some(inner.jobs.values().map(JobRecord::status).collect())
-        } else {
-            None
-        }
-    }
-
-    pub(crate) fn respond(&self, req: Request) -> String {
+impl server::Service for Fleet {
+    fn respond(&self, req: Request) -> String {
         match req {
             Request::Ping => wire::ok_response(vec![(
                 "pong".to_string(),
@@ -656,34 +646,13 @@ impl Fleet {
             Request::Shutdown => wire::shutdown_response(),
         }
     }
-}
 
-impl server::Service for Fleet {
-    fn handle(&self, req: Request) -> server::Action {
-        match req {
-            // Drain completes only when the queue is dry; answering
-            // inline would stall the event loop, so defer it. Drain
-            // completion is a global condition (the queue is dry for
-            // everyone at once), so every drain shares ticket 0.
-            Request::Drain => {
-                self.begin_drain();
-                server::Action::Defer(0)
-            }
-            Request::Shutdown => server::Action::ReplyThenShutdown(self.respond(Request::Shutdown)),
-            other => server::Action::Reply(self.respond(other)),
-        }
+    fn stop(&self) -> &Stop {
+        &self.stop
     }
 
-    fn poll_ticket(&self, _ticket: u64) -> Option<String> {
-        self.drained_statuses().map(|jobs| wire::status_response(&jobs))
-    }
-
-    fn begin_shutdown(&self) {
+    fn shut_down(&self) {
         self.request_shutdown();
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.is_shutting_down()
     }
 }
 

@@ -22,17 +22,18 @@
 //!   carries a u64 request id, responses are tagged with it, and mixed-
 //!   version frames are rejected with a clear error. Request batching
 //!   and queue-cap backpressure ride on top.
-//! - **Readiness-loop front-end** ([`server`]): a single-threaded
-//!   epoll/poll event loop with per-connection read/write state
-//!   machines — no handler thread per connection, so connection count
-//!   stops being a thread count. Handlers answer tagged frames in
-//!   *completion* order while the loop keeps interleaving connections.
+//! - **Blocking front-end** (`Fleet::serve`, `Router::serve`): an
+//!   accept loop hands each connection to a reused connection thread
+//!   (a fixed cap of a few tens), which reads a frame, answers it and
+//!   writes the tagged reply, in order. A slow request such as a drain
+//!   holds up its own connection only.
 //! - **Federation** ([`router`], [`pool`]): N sharded daemons each
 //!   owning a splitmix64 job-key range behind a router that fans out
 //!   requests over pipelined connection pools — multiple sockets per
 //!   shard, many in-flight tagged requests per socket, per-socket
-//!   backpressure caps — and merges status/ranking responses; a dead
-//!   shard's WAL replays into a replacement bitwise.
+//!   backpressure caps, reads kept off the lane drains ride — and
+//!   merges status/ranking responses; a dead shard's WAL replays into
+//!   a replacement bitwise.
 //! - **Performance** lives outside this crate: the `fleet-sweep` and
 //!   `fleet-status` workloads of the repository's `benchmark/` package
 //!   time the router, shards, WAL and runner end to end and by layer,

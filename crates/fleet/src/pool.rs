@@ -1,5 +1,4 @@
-//! Pipelined connection pool: the router's replacement for one
-//! lock-step `FleetClient` per shard.
+//! Pipelined connection pool: the router's link to one shard daemon.
 //!
 //! # Shape
 //!
@@ -9,9 +8,9 @@
 //! slot in the socket's in-flight table, and writes the envelope; a
 //! dedicated reader thread per socket decodes tagged responses as they
 //! arrive — in whatever order the daemon completed them — and fills
-//! the matching slot. Callers hold a [`PendingReply`] and either block
-//! on it ([`PendingReply::wait`]) or poll it from a readiness loop
-//! ([`PendingReply::try_take`]).
+//! the matching slot. Callers hold a [`PendingReply`] and block on it
+//! ([`PendingReply::wait`]), so a router request can put one send in
+//! flight per shard before it waits on any.
 //!
 //! # Backpressure
 //!
@@ -29,7 +28,10 @@
 //! what keeps WAL replay and the bitwise-merged-ranking failover
 //! contract (`tests/fleet_failover.rs`) intact: a replayed shard
 //! assigns the same local ids because it saw the same submit order.
-//! Read-only probes round-robin across the remaining lanes.
+//! Read-only probes round-robin across the remaining lanes, so with two
+//! or more lanes none waits behind a drain: a shard answers each
+//! connection's frames in order, and a drain holds lane 0 until the
+//! shard's queue runs dry.
 //!
 //! # Failure
 //!
@@ -52,7 +54,8 @@ use crate::wire::{self, Request};
 /// Pool shape knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Sockets per shard (lanes). Lane 0 carries mutating requests.
+    /// Sockets per shard (lanes). Lane 0 carries mutating requests;
+    /// reads ride the others when there are any.
     pub sockets: usize,
     /// Max in-flight requests per socket before senders block.
     pub depth: usize,
@@ -64,16 +67,11 @@ impl Default for PoolConfig {
     }
 }
 
-/// Completion hook shared with every reader thread; the router stores
-/// its readiness-loop waker here.
-type NotifySlot = Arc<Mutex<Option<Arc<dyn Fn() + Send + Sync>>>>;
-
 /// A pipelined connection pool to one shard daemon.
 pub struct ShardPool {
     lanes: Vec<Arc<Lane>>,
     next_lane: AtomicUsize,
     depth: usize,
-    notify: NotifySlot,
 }
 
 /// One socket plus its pipelining state.
@@ -85,7 +83,6 @@ struct Lane {
     state: Mutex<LaneState>,
     /// Signals a freed in-flight slot to depth-capped senders.
     space: Condvar,
-    notify: NotifySlot,
 }
 
 struct LaneTx {
@@ -125,19 +122,8 @@ pub struct PendingReply {
 }
 
 impl PendingReply {
-    /// Non-blocking: the response if it has arrived. Yields each
-    /// response exactly once; later calls return `None` again.
-    pub fn try_take(&self) -> Option<Result<Value, FleetError>> {
-        self.slot.value.lock().take()
-    }
-
     /// Block until the response arrives.
     pub fn wait(self) -> Result<Value, FleetError> {
-        self.wait_ref()
-    }
-
-    /// Block until the response arrives, without consuming the handle.
-    pub(crate) fn wait_ref(&self) -> Result<Value, FleetError> {
         let mut v = self.slot.value.lock();
         loop {
             match v.take() {
@@ -155,7 +141,6 @@ impl ShardPool {
         if config.sockets == 0 || config.depth == 0 {
             return Err(FleetError::Protocol("pool needs sockets, depth ≥ 1".to_string()));
         }
-        let notify: NotifySlot = Arc::new(Mutex::new(None));
         let mut lanes = Vec::with_capacity(config.sockets);
         for _ in 0..config.sockets {
             let stream = TcpStream::connect(&addr)?;
@@ -165,33 +150,26 @@ impl ShardPool {
                 tx: Mutex::new(LaneTx { stream, next_id: 0 }),
                 state: Mutex::new(LaneState { inflight: HashMap::new(), occupancy: 0, dead: None }),
                 space: Condvar::new(),
-                notify: Arc::clone(&notify),
             });
             let for_reader = Arc::clone(&lane);
             std::thread::spawn(move || for_reader.read_loop(reader));
             lanes.push(lane);
         }
-        Ok(ShardPool { lanes, next_lane: AtomicUsize::new(0), depth: config.depth, notify })
-    }
-
-    /// Install the completion hook reader threads invoke after filling
-    /// a reply slot (the router's readiness-loop waker).
-    pub(crate) fn set_notifier(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        *self.notify.lock() = Some(hook);
+        Ok(ShardPool { lanes, next_lane: AtomicUsize::new(0), depth: config.depth })
     }
 
     /// Send one request down the appropriate lane; blocks only on the
     /// per-socket depth cap.
     pub fn send(&self, req: &Request) -> Result<PendingReply, FleetError> {
+        let n = self.lanes.len();
         let lane = match req {
             // One total order for everything that mutates shard state.
-            Request::Submit { .. } | Request::Drain | Request::Shutdown => &self.lanes[0],
-            _ => {
-                let n = self.lanes.len();
-                &self.lanes[self.next_lane.fetch_add(1, Ordering::Relaxed) % n]
-            }
+            Request::Submit { .. } | Request::Drain | Request::Shutdown => 0,
+            // Reads keep off lane 0, where a drain may be waiting.
+            _ if n > 1 => 1 + self.next_lane.fetch_add(1, Ordering::Relaxed) % (n - 1),
+            _ => 0,
         };
-        lane.send(req, self.depth)
+        self.lanes[lane].send(req, self.depth)
     }
 
     /// Blocking convenience: send and wait.
@@ -292,7 +270,6 @@ impl Lane {
             };
             self.space.notify_one();
             slot.fill(body);
-            self.wake();
         }
     }
 
@@ -308,14 +285,6 @@ impl Lane {
         self.space.notify_all();
         for slot in victims {
             slot.fill(Err(FleetError::Protocol(format!("shard connection failed: {msg}"))));
-        }
-        self.wake();
-    }
-
-    fn wake(&self) {
-        let hook = self.notify.lock().clone();
-        if let Some(hook) = hook {
-            hook();
         }
     }
 }

@@ -21,19 +21,19 @@
 //! # Pipelined fan-out
 //!
 //! Each shard sits behind a [`ShardPool`]: a few sockets, each
-//! carrying many in-flight tagged requests. The router's readiness
-//! loop never blocks on a shard — [`Service::handle`] issues the shard
-//! requests and defers the client's response on a *ticket*; pool
-//! reader threads fill reply slots as shards answer (in completion
-//! order, reassembled by request id) and wake the loop, which
-//! assembles and releases each finished response. Requests from many
-//! client connections therefore overlap inside every shard instead of
-//! serializing on one lock-step round-trip per shard.
+//! carrying many in-flight tagged requests. A request puts every shard
+//! request it needs in flight before it waits on any reply, so its
+//! fan-out costs the slowest shard, not the sum. Each client connection
+//! has its own thread in the front-end ([`Router::serve`]), and pool
+//! reader threads route each shard reply to the request that sent it,
+//! so requests from many client connections overlap inside every shard
+//! instead of serializing on one lock-step round-trip per shard.
 //!
-//! Submit order stays deterministic: router keys are drawn on the
-//! single loop thread in request-arrival order, and the pool sends all
-//! mutating requests down one lane per shard, so WAL replay and the
-//! bitwise-merged-ranking failover contract still hold.
+//! The pool sends every mutating request (submit, drain, shutdown)
+//! down one lane per shard, so each shard sees one total order of
+//! admissions and WAL replay and the bitwise-merged-ranking failover
+//! contract hold. Reads ride the other lanes, so a drain that waits for
+//! a shard's queue to run dry never holds up a status.
 //!
 //! # Failover
 //!
@@ -54,16 +54,12 @@
 //!   (`shard 1: unknown server …`); a backlog push-back keeps its
 //!   retry hint unchanged, so clients back off through the router.
 //! - `drain` fans out concurrently and completes when every shard is
-//!   dry; unlike the pre-pipelining router it no longer blocks the
-//!   loop, so status probes keep being answered while a drain runs
-//!   (shards reject new submits during their own drain regardless).
+//!   dry; status probes on other connections keep being answered while
+//!   it runs (shards reject new submits during their own drain).
 
-use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use serde::Value;
 
 use hpceval_trace::splitmix64;
@@ -71,59 +67,14 @@ use hpceval_trace::splitmix64;
 use crate::error::FleetError;
 use crate::job::{self, JobId, JobKind, JobStatus, RankedServer};
 use crate::pool::{PendingReply, PoolConfig, ShardPool};
-use crate::server::{self, Action, Service, Waker};
+use crate::server::{self, Service, Stop};
 use crate::wire::{self, Request};
 
 /// A running router over pipelined pools to the shard daemons.
 pub struct Router {
     shards: Vec<ShardPool>,
     next_key: AtomicU64,
-    next_ticket: AtomicU64,
-    /// Deferred fan-outs by ticket, polled by the readiness loop.
-    pending: Mutex<HashMap<u64, PendingOp>>,
-    shutdown: AtomicBool,
-}
-
-/// One shard's share of a deferred fan-out.
-struct Part {
-    shard: usize,
-    reply: PendingReply,
-    done: Option<Result<Value, FleetError>>,
-}
-
-impl Part {
-    fn poll(&mut self) -> bool {
-        if self.done.is_none() {
-            self.done = self.reply.try_take();
-        }
-        self.done.is_some()
-    }
-}
-
-/// A deferred fan-out awaiting shard replies.
-enum PendingOp {
-    /// Per-shard sub-batches; `positions[i]` maps part `i`'s local ids
-    /// back to submission order.
-    Submit { parts: Vec<Part>, positions: Vec<Vec<usize>>, total: usize },
-    /// Merged job snapshots (whole-fleet status, one-job status, drain).
-    Jobs { parts: Vec<Part> },
-    /// The merged §V ranking.
-    Ranking { parts: Vec<Part> },
-}
-
-impl PendingOp {
-    fn parts_mut(&mut self) -> &mut Vec<Part> {
-        match self {
-            PendingOp::Submit { parts, .. }
-            | PendingOp::Jobs { parts }
-            | PendingOp::Ranking { parts } => parts,
-        }
-    }
-
-    /// True once every shard reply has arrived.
-    fn ready(&mut self) -> bool {
-        self.parts_mut().iter_mut().all(Part::poll)
-    }
+    stop: Stop,
 }
 
 impl Router {
@@ -148,13 +99,7 @@ impl Router {
             .iter()
             .map(|a| ShardPool::connect(a.as_ref(), pool))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Router {
-            shards,
-            next_key: AtomicU64::new(0),
-            next_ticket: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-        })
+        Ok(Router { shards, next_key: AtomicU64::new(0), stop: Stop::default() })
     }
 
     /// Number of shards behind this router.
@@ -181,74 +126,27 @@ impl Router {
         ((global % n) as usize, global / n)
     }
 
-    // --- fan-out construction -------------------------------------
-
-    /// Partition a batch across shards and put every sub-batch in
-    /// flight.
-    fn start_submit(&self, jobs: Vec<JobKind>) -> Result<PendingOp, FleetError> {
+    /// Submit a batch, fanning each job out to its owning shard;
+    /// returns global ids in submission order.
+    pub fn submit(&self, jobs: Vec<JobKind>) -> Result<Vec<JobId>, FleetError> {
         let total = jobs.len();
         let mut per_shard: Vec<Vec<(usize, JobKind)>> = vec![Vec::new(); self.shards.len()];
         for (pos, kind) in jobs.into_iter().enumerate() {
             let key = self.next_key.fetch_add(1, Ordering::Relaxed);
             per_shard[self.shard_of(key)].push((pos, kind));
         }
-        let mut parts = Vec::new();
-        let mut positions = Vec::new();
+        let mut sent = Vec::new();
         for (shard, batch) in per_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let (pos, kinds): (Vec<usize>, Vec<JobKind>) = batch.into_iter().unzip();
+            let (positions, kinds): (Vec<usize>, Vec<JobKind>) = batch.into_iter().unzip();
             let reply = self.shards[shard].send(&Request::Submit { jobs: kinds })?;
-            parts.push(Part { shard, reply, done: None });
-            positions.push(pos);
+            sent.push((shard, reply, positions));
         }
-        Ok(PendingOp::Submit { parts, positions, total })
-    }
-
-    /// Put one request in flight to every shard.
-    fn start_fan(&self, req: &Request) -> Result<Vec<Part>, FleetError> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, pool)| Ok(Part { shard, reply: pool.send(req)?, done: None }))
-            .collect()
-    }
-
-    fn start_status(&self, job: Option<JobId>) -> Result<PendingOp, FleetError> {
-        let parts = match job {
-            Some(global) => {
-                let (shard, local) = self.split_global(global);
-                let reply = self.shards[shard].send(&Request::Status { job: Some(local) })?;
-                vec![Part { shard, reply, done: None }]
-            }
-            None => self.start_fan(&Request::Status { job: None })?,
-        };
-        Ok(PendingOp::Jobs { parts })
-    }
-
-    // --- assembly --------------------------------------------------
-
-    fn assemble(&self, op: PendingOp) -> AssembledOp {
-        match op {
-            PendingOp::Submit { parts, positions, total } => {
-                AssembledOp::Submit(self.assemble_submit(parts, positions, total))
-            }
-            PendingOp::Jobs { parts } => AssembledOp::Jobs(self.assemble_jobs(parts)),
-            PendingOp::Ranking { parts } => AssembledOp::Ranking(assemble_ranking(parts)),
-        }
-    }
-
-    fn assemble_submit(
-        &self,
-        parts: Vec<Part>,
-        positions: Vec<Vec<usize>>,
-        total: usize,
-    ) -> Result<Vec<JobId>, FleetError> {
         let mut ids = vec![0u64; total];
-        for (part, positions) in parts.into_iter().zip(positions) {
-            let shard = part.shard;
-            let locals = take_done(part, wire::decode_ids)?;
+        for (shard, reply, positions) in sent {
+            let locals = take_reply(shard, reply, wire::decode_ids)?;
             if locals.len() != positions.len() {
                 return Err(FleetError::Protocol(format!(
                     "shard {shard} returned a short id batch: {} ids for {} jobs",
@@ -263,47 +161,23 @@ impl Router {
         Ok(ids)
     }
 
-    fn assemble_jobs(&self, parts: Vec<Part>) -> Result<Vec<JobStatus>, FleetError> {
-        let mut merged = Vec::new();
-        for part in parts {
-            let shard = part.shard;
-            let jobs = take_done(part, wire::decode_jobs)?;
-            merged.extend(
-                jobs.into_iter()
-                    .map(|job| JobStatus { id: self.to_global(shard, job.id), ..job }),
-            );
-        }
-        merged.sort_by_key(|j| j.id);
-        Ok(merged)
-    }
-
-    // --- blocking front doors (in-process callers and tests) -------
-
-    /// Submit a batch, fanning each job out to its owning shard;
-    /// returns global ids in submission order.
-    pub fn submit(&self, jobs: Vec<JobKind>) -> Result<Vec<JobId>, FleetError> {
-        match self.finish(self.start_submit(jobs)?) {
-            AssembledOp::Submit(ids) => ids,
-            _ => unreachable!("submit op assembles to ids"),
-        }
-    }
-
     /// Status snapshots with global ids: one job routes to its owning
     /// shard; a whole-fleet snapshot merges every shard's view.
     pub fn status(&self, job: Option<JobId>) -> Result<Vec<JobStatus>, FleetError> {
-        match self.finish(self.start_status(job)?) {
-            AssembledOp::Jobs(jobs) => jobs,
-            _ => unreachable!("status op assembles to jobs"),
-        }
+        let replies = match job {
+            Some(global) => {
+                let (shard, local) = self.split_global(global);
+                vec![(shard, self.shards[shard].send(&Request::Status { job: Some(local) })?)]
+            }
+            None => self.fan_out(&Request::Status { job: None })?,
+        };
+        self.merge_jobs(replies)
     }
 
     /// Drain every shard (concurrently; completes when all queues are
     /// dry) and merge the final statuses.
     pub fn drain(&self) -> Result<Vec<JobStatus>, FleetError> {
-        match self.finish(PendingOp::Jobs { parts: self.start_fan(&Request::Drain)? }) {
-            AssembledOp::Jobs(jobs) => jobs,
-            _ => unreachable!("drain op assembles to jobs"),
-        }
+        self.merge_jobs(self.fan_out(&Request::Drain)?)
     }
 
     /// The merged §V ranking: per-shard rankings concatenated and
@@ -311,10 +185,12 @@ impl Router {
     /// (best mean clean PPW first, name-tiebroken), so the merged order
     /// is identical to what one daemon owning every job would report.
     pub fn ranking(&self) -> Result<Vec<RankedServer>, FleetError> {
-        match self.finish(PendingOp::Ranking { parts: self.start_fan(&Request::Ranking)? }) {
-            AssembledOp::Ranking(rows) => rows,
-            _ => unreachable!("ranking op assembles to rows"),
+        let mut rows: Vec<RankedServer> = Vec::new();
+        for (shard, reply) in self.fan_out(&Request::Ranking)? {
+            rows.extend(take_reply(shard, reply, wire::decode_ranking)?);
         }
+        job::rank(&mut rows);
+        Ok(rows)
     }
 
     /// Ask every shard daemon to stop (the router object survives).
@@ -325,155 +201,99 @@ impl Router {
         Ok(())
     }
 
-    /// Wait out a fan-out's shard replies, then assemble.
-    fn finish(&self, op: PendingOp) -> AssembledOp {
-        let op = match op {
-            PendingOp::Submit { parts, positions, total } => {
-                PendingOp::Submit { parts: wait_parts(parts), positions, total }
-            }
-            PendingOp::Jobs { parts } => PendingOp::Jobs { parts: wait_parts(parts) },
-            PendingOp::Ranking { parts } => PendingOp::Ranking { parts: wait_parts(parts) },
-        };
-        self.assemble(op)
-    }
-
-    /// Serve the wire protocol on `listener` via the readiness loop
-    /// until a shutdown request arrives.
+    /// Serve the wire protocol on `listener`, a thread per live
+    /// connection, until a shutdown request arrives or
+    /// [`Router::request_shutdown`] is called.
     pub fn serve(&self, listener: TcpListener) -> Result<(), FleetError> {
-        server::serve_readiness(self, listener)
+        server::serve(self, listener)
     }
 
     /// Stop a running [`Router::serve`] loop.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.set();
     }
 
-    /// Park a started fan-out under a fresh ticket for the readiness
-    /// loop to poll, or answer the start-up error inline.
-    fn defer(&self, op: Result<PendingOp, FleetError>) -> Action {
-        match op {
-            Ok(op) => {
-                let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-                self.pending.lock().insert(ticket, op);
-                Action::Defer(ticket)
-            }
-            Err(e) => Action::Reply(wire::error_to_response(&e)),
+    /// Put one request in flight to every shard.
+    fn fan_out(&self, req: &Request) -> Result<Vec<(usize, PendingReply)>, FleetError> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(shard, pool)| Ok((shard, pool.send(req)?)))
+            .collect()
+    }
+
+    /// Wait out per-shard snapshot replies and merge them under global
+    /// ids, in id order.
+    fn merge_jobs(
+        &self,
+        replies: Vec<(usize, PendingReply)>,
+    ) -> Result<Vec<JobStatus>, FleetError> {
+        let mut merged = Vec::new();
+        for (shard, reply) in replies {
+            let jobs = take_reply(shard, reply, wire::decode_jobs)?;
+            merged.extend(
+                jobs.into_iter()
+                    .map(|job| JobStatus { id: self.to_global(shard, job.id), ..job }),
+            );
         }
+        merged.sort_by_key(|j| j.id);
+        Ok(merged)
     }
 }
 
-/// A completed fan-out in typed form, shared by the blocking front
-/// doors and the deferred wire path.
-enum AssembledOp {
-    Submit(Result<Vec<JobId>, FleetError>),
-    Jobs(Result<Vec<JobStatus>, FleetError>),
-    Ranking(Result<Vec<RankedServer>, FleetError>),
+/// A shard's reply, awaited and decoded; a shard-side or decode error
+/// names the shard it came from.
+fn take_reply<T>(
+    shard: usize,
+    reply: PendingReply,
+    decode: fn(&Value) -> Result<T, FleetError>,
+) -> Result<T, FleetError> {
+    reply.wait().and_then(|v| decode(&v)).map_err(|e| match e {
+        FleetError::Remote(msg) => FleetError::Remote(format!("shard {shard}: {msg}")),
+        FleetError::Protocol(msg) => FleetError::Protocol(format!("shard {shard}: {msg}")),
+        other => other,
+    })
 }
 
-impl AssembledOp {
-    fn into_response(self) -> String {
-        match self {
-            AssembledOp::Submit(Ok(ids)) => wire::submit_response(&ids),
-            AssembledOp::Jobs(Ok(jobs)) => wire::status_response(&jobs),
-            AssembledOp::Ranking(Ok(rows)) => wire::ranking_response(&rows),
-            AssembledOp::Submit(Err(e))
-            | AssembledOp::Jobs(Err(e))
-            | AssembledOp::Ranking(Err(e)) => wire::error_to_response(&e),
-        }
-    }
-}
-
-/// A part's reply, decoded; a shard-side or decode error names the
-/// shard it came from.
-fn take_done<T>(part: Part, decode: fn(&Value) -> Result<T, FleetError>) -> Result<T, FleetError> {
-    let shard = part.shard;
-    part.done
-        .expect("part polled or waited to completion before assembly")
-        .and_then(|v| decode(&v))
-        .map_err(|e| match e {
-            FleetError::Remote(msg) => FleetError::Remote(format!("shard {shard}: {msg}")),
-            FleetError::Protocol(msg) => FleetError::Protocol(format!("shard {shard}: {msg}")),
-            other => other,
-        })
-}
-
-fn wait_parts(parts: Vec<Part>) -> Vec<Part> {
-    parts
-        .into_iter()
-        .map(|p| Part { shard: p.shard, done: Some(p.reply.wait_ref()), reply: p.reply })
-        .collect()
-}
-
-fn assemble_ranking(parts: Vec<Part>) -> Result<Vec<RankedServer>, FleetError> {
-    let mut rows: Vec<RankedServer> = Vec::new();
-    for part in parts {
-        rows.extend(take_done(part, wire::decode_ranking)?);
-    }
-    job::rank(&mut rows);
-    Ok(rows)
+/// The response body for `result`: `encode`d on success, its error
+/// body otherwise.
+fn body<T>(result: Result<T, FleetError>, encode: impl FnOnce(&T) -> String) -> String {
+    result.map_or_else(|e| wire::error_to_response(&e), |v| encode(&v))
 }
 
 impl Service for Router {
-    fn handle(&self, req: Request) -> Action {
+    fn respond(&self, req: Request) -> String {
         match req {
-            Request::Ping => Action::Reply(
-                wire::ok_response(vec![
-                    ("pong".to_string(), Value::Str("hpceval-fleet-router".to_string())),
-                    ("shards".to_string(), Value::UInt(self.shards.len() as u64)),
-                ])
-                .expect("static response encodes"),
-            ),
-            Request::Submit { jobs } => self.defer(self.start_submit(jobs)),
-            Request::Status { job } => self.defer(self.start_status(job)),
-            Request::Drain => {
-                self.defer(self.start_fan(&Request::Drain).map(|parts| PendingOp::Jobs { parts }))
-            }
-            Request::Ranking => self
-                .defer(self.start_fan(&Request::Ranking).map(|parts| PendingOp::Ranking { parts })),
-            Request::Shutdown => {
-                // Stop the shards first so their final states are
-                // durable before the router acknowledges. Blocking the
-                // loop here is fine: this request ends it.
-                let response = match self.shutdown_shards() {
-                    Ok(()) => wire::shutdown_response(),
-                    Err(e) => wire::error_to_response(&e),
-                };
-                Action::ReplyThenShutdown(response)
-            }
+            Request::Ping => wire::ok_response(vec![
+                ("pong".to_string(), Value::Str("hpceval-fleet-router".to_string())),
+                ("shards".to_string(), Value::UInt(self.shards.len() as u64)),
+            ])
+            .expect("static response encodes"),
+            Request::Submit { jobs } => body(self.submit(jobs), |ids| wire::submit_response(ids)),
+            Request::Status { job } => body(self.status(job), |jobs| wire::status_response(jobs)),
+            Request::Drain => body(self.drain(), |jobs| wire::status_response(jobs)),
+            Request::Ranking => body(self.ranking(), |rows| wire::ranking_response(rows)),
+            // Stop the shards first so their final states are durable
+            // before the router acknowledges.
+            Request::Shutdown => body(self.shutdown_shards(), |()| wire::shutdown_response()),
         }
     }
 
-    fn poll_ticket(&self, ticket: u64) -> Option<String> {
-        let op = {
-            let mut pending = self.pending.lock();
-            let ready = pending.get_mut(&ticket).is_some_and(PendingOp::ready);
-            if !ready {
-                return None;
-            }
-            pending.remove(&ticket).expect("ready ticket is present")
-        };
-        Some(self.assemble(op).into_response())
+    fn stop(&self) -> &Stop {
+        &self.stop
     }
 
-    fn begin_shutdown(&self) {
+    fn shut_down(&self) {
         self.request_shutdown();
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn attach_waker(&self, waker: Waker) {
-        for pool in &self.shards {
-            let waker = waker.clone();
-            pool.set_notifier(Arc::new(move || waker.wake()));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use crate::client::FleetClient;
     use crate::daemon::{Fleet, FleetConfig};
     use crate::registry::Registry;
 
@@ -483,9 +303,7 @@ mod tests {
         Router {
             shards: (0..n).map(|_| unreachable_pool()).collect(),
             next_key: AtomicU64::new(0),
-            next_ticket: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
+            stop: Stop::default(),
         }
     }
 
@@ -564,6 +382,11 @@ mod tests {
 
         fn stop(self, router: &Router) {
             router.shutdown_shards().unwrap();
+            self.join();
+        }
+
+        /// Join the stopped shards and remove their WALs.
+        fn join(self) {
             for (thread, wal) in self.threads.into_iter().zip(self.wals) {
                 thread.join().unwrap().unwrap();
                 std::fs::remove_file(wal).unwrap();
@@ -577,13 +400,28 @@ mod tests {
         let router = Router::connect(&shards.addrs).unwrap();
         // The first submit draws router key 0.
         let owner = router.shard_of(0);
-        let job = JobKind::Green500 { server: "no-such-server".to_string() };
-        let err = router.submit(vec![job]).unwrap_err();
+        let job = || vec![JobKind::Green500 { server: "no-such-server".to_string() }];
+        let err = router.submit(job()).unwrap_err();
         assert!(
             matches!(&err, FleetError::Remote(msg) if msg.starts_with(&format!("shard {owner}: "))),
             "the refusal must name shard {owner}: {err}"
         );
-        shards.stop(&router);
+
+        // Relayed over TCP, it names the shard once and the daemon once.
+        let router = Arc::new(router);
+        let owner = router.shard_of(1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let serving = Arc::clone(&router);
+        let serving = std::thread::spawn(move || serving.serve(listener));
+        let mut client = FleetClient::connect(addr).unwrap();
+        assert_eq!(
+            client.submit(job()).unwrap_err().to_string(),
+            format!("daemon error: shard {owner}: unknown server \"no-such-server\"")
+        );
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+        shards.join();
     }
 
     /// DESIGN §15's promise: the router's merged ranking is, bit for bit,

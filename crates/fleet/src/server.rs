@@ -1,332 +1,316 @@
-//! The readiness-loop TCP front-end shared by the daemon and the
-//! router: one thread, non-blocking accept, and a per-connection
-//! read/write state machine — no handler thread per connection.
+//! The blocking TCP front-end shared by the daemon and the router: an
+//! accept loop that hands each connection to a connection thread.
 //!
 //! # Shape
 //!
-//! A [`Poller`] (vendored epoll on Linux, portable `poll` elsewhere)
-//! watches the listener plus every live connection, each keyed by a
-//! monotonically assigned `usize`. Each [`Conn`] carries the wire
-//! state that a blocking handler kept implicitly on its stack:
+//! A connection thread loops [`wire::read_frame`] →
+//! [`Service::respond`] → [`wire::write_frame`], tagging each reply
+//! with its request id ([`wire::attach_id`]). A request that takes a
+//! while — a `drain` that ends only when the queue runs dry, a router
+//! fan-out waiting on its shards — holds up later frames on its own
+//! connection only; every other connection has a thread of its own.
+//! That is why the router's pool keeps reads off the lane its drains
+//! ride (see [`crate::pool`]).
 //!
-//! - an incremental [`FrameDecoder`] reassembling u32-BE
-//!   length-prefixed frames across arbitrarily torn reads, and
-//! - an outbox (`Vec<u8>` plus a flush cursor) carrying encoded
-//!   response frames across partial writes.
+//! Connection threads are reused. An idle thread takes the next
+//! accepted connection, and a new thread is spawned only when none is
+//! idle, up to [`MAX_CONN_THREADS`]. A connection accepted beyond the
+//! cap waits, accepted but unanswered, until a thread is free.
 //!
-//! Write interest is registered only while the outbox is non-empty, so
-//! an idle connection costs one registered fd and nothing else.
+//! # Stopping
 //!
-//! # Services, tickets, and out-of-order replies
-//!
-//! The loop is generic over a [`Service`]: the daemon and the router
-//! plug in request handling via [`Service::handle`], which returns an
-//! [`Action`]. Responses the service cannot produce inline — a `drain`
-//! that completes only when the queue runs dry, or a router fan-out
-//! waiting on shard replies — come back as [`Action::Defer`] carrying a
-//! service-chosen *ticket*; the loop re-asks
-//! [`Service::poll_ticket`] for each outstanding ticket and releases
-//! each response the moment it is ready. Since protocol v2 every
-//! request carries an id and every response is tagged with it
-//! ([`wire::attach_id`]), the loop keeps dispatching frames that arrive
-//! while earlier responses are still pending: replies go out in
-//! *completion* order, and the client's in-flight table reorders them.
-//! `shutdown` replies first and stops the loop only after the response
-//! is flushed.
-//!
-//! Services whose deferred completions land on background threads (the
-//! router's connection pool) receive a [`Waker`] via
-//! [`Service::attach_waker`] and nudge the poller when a completion
-//! lands, so deferred latency is wake latency, not the 25 ms tick.
+//! The thread that writes a `shutdown` reply then stops the service,
+//! which sets its [`Stop`]. Setting the signal wakes the blocking
+//! accept by connecting once to the listener, so a stop requested in
+//! process ends [`serve`] as well. Before `serve` returns it shuts down
+//! every live and waiting connection and joins every connection
+//! thread.
 
-use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::io::{BufReader, ErrorKind};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use polling::{Event, Interest, Poller};
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::FleetError;
-use crate::wire::{self, FrameDecoder, Request};
+use crate::wire::{self, Request};
 
-/// How a [`Service`] disposes of one decoded request. Response bodies
-/// are untagged; the loop attaches the request id.
-pub(crate) enum Action {
-    /// Send this response now.
-    Reply(String),
-    /// The response is not ready; poll [`Service::poll_ticket`] with
-    /// the carried ticket until it yields the body.
-    Defer(u64),
-    /// Send this response, then stop the serve loop once it is flushed.
-    ReplyThenShutdown(String),
-}
+/// Most connection threads one [`serve`] runs. Spawning a thread per
+/// connection instead, with no reuse, measured 1.2–1.3× the readiness
+/// loop's `fleet-status` p50 and 1.4–1.5× its tail (DESIGN §15).
+const MAX_CONN_THREADS: usize = 32;
 
-/// Wakes a [`serve_readiness`] loop blocked in its poller — handed to
-/// services so background completion threads can cut the poll tick
-/// short.
-#[derive(Clone)]
-pub(crate) struct Waker(Arc<Poller>);
-
-impl Waker {
-    /// Wake the loop; wakes coalesce and never fail.
-    pub(crate) fn wake(&self) {
-        let _ = self.0.notify();
-    }
-}
-
-/// A protocol endpoint served by [`serve_readiness`].
+/// A protocol endpoint served by [`serve`].
 pub(crate) trait Service: Sync {
-    /// Dispose of one request.
-    fn handle(&self, req: Request) -> Action;
-    /// Non-blocking completion check for a deferred response.
-    fn poll_ticket(&self, ticket: u64) -> Option<String>;
-    /// A flushed shutdown response commits the stop.
-    fn begin_shutdown(&self);
-    /// True once the loop should exit.
-    fn shutting_down(&self) -> bool;
-    /// Offered once at serve start; services with background
-    /// completions keep it and wake the loop per completion.
-    fn attach_waker(&self, _waker: Waker) {}
+    /// Answer one request with an untagged response body.
+    fn respond(&self, req: Request) -> String;
+    /// The signal that ends [`serve`].
+    fn stop(&self) -> &Stop;
+    /// Stop the service once its `shutdown` reply is out; sets
+    /// [`Service::stop`].
+    fn shut_down(&self);
 }
 
-/// Poll tick: bounds shutdown/drain-completion latency.
-const TICK: Duration = Duration::from_millis(25);
-/// The listener's key; connection keys start above it.
-const LISTENER_KEY: usize = 0;
-
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbox: Vec<u8>,
-    sent: usize,
-    interest: Interest,
-    /// Outstanding deferred responses: `(service ticket, request id)`.
-    /// Completions queue in whatever order [`Service::poll_ticket`]
-    /// yields them — the id tag is what lets the client reassemble.
-    pending: Vec<(u64, u64)>,
-    /// Peer half-closed; reap once the outbox flushes.
-    eof: bool,
-    /// Protocol violation: finish flushing the error frame, then drop.
-    close_after_flush: bool,
-    /// Flushed response commits daemon shutdown.
-    shutdown_after_flush: bool,
-    dead: bool,
+/// A serve loop's stop signal; once set, it stays set.
+#[derive(Default)]
+pub(crate) struct Stop {
+    set: AtomicBool,
+    /// The address that reaches the listener of a running [`serve`].
+    wake: Mutex<Option<SocketAddr>>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            outbox: Vec::new(),
-            sent: 0,
-            interest: Interest::READABLE,
-            pending: Vec::new(),
-            eof: false,
-            close_after_flush: false,
-            shutdown_after_flush: false,
-            dead: false,
+impl Stop {
+    /// Set the signal and wake a [`serve`] blocked in accept.
+    pub(crate) fn set(&self) {
+        self.set.store(true, Ordering::SeqCst);
+        let wake = self.wake.lock().take();
+        if let Some(addr) = wake {
+            // The accept loop checks the signal after every accept and
+            // drops this connection unanswered.
+            let _ = TcpStream::connect(addr);
         }
     }
 
-    /// Append one encoded response frame to the outbox.
-    fn queue_response(&mut self, json: &str) {
-        match wire::encode_frame(json) {
-            Ok(frame) => self.outbox.extend_from_slice(&frame),
-            Err(e) => {
-                // Response too large to frame: report that instead of
-                // wedging the connection, then drop it.
-                let fallback = wire::error_to_response(&e);
-                self.outbox.extend_from_slice(
-                    &wire::encode_frame(&fallback).expect("error responses are small"),
-                );
-                self.close_after_flush = true;
-            }
-        }
-    }
-
-    /// Drain the socket's receive buffer into the decoder.
-    fn fill(&mut self) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return;
-                }
-                Ok(n) => self.decoder.extend(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Decode and dispatch buffered frames. Deferred responses do not
-    /// stall the stream: later frames keep dispatching, and each reply
-    /// goes out tagged with its request id when it completes.
-    fn dispatch(&mut self, service: &impl Service) {
-        while !self.close_after_flush && !self.dead {
-            match self.decoder.next_frame() {
-                Ok(Some(frame)) => match wire::decode_envelope(&frame) {
-                    Ok((id, Ok(req))) => match service.handle(req) {
-                        Action::Reply(r) => self.queue_response(&wire::attach_id(id, &r)),
-                        Action::Defer(ticket) => self.pending.push((ticket, id)),
-                        Action::ReplyThenShutdown(r) => {
-                            self.queue_response(&wire::attach_id(id, &r));
-                            self.shutdown_after_flush = true;
-                        }
-                    },
-                    // A malformed op in a well-formed envelope gets a
-                    // tagged error response; the connection survives.
-                    Ok((id, Err(e))) => {
-                        self.queue_response(&wire::attach_id(id, &wire::error_to_response(&e)))
-                    }
-                    // Unroutable frame (bad JSON, version mismatch, no
-                    // id): no id to tag, so answer untagged; the
-                    // connection survives — the stream itself is still
-                    // framed correctly.
-                    Err(e) => self.queue_response(&wire::error_to_response(&e)),
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    // Unframeable stream (oversize/torn prefix): reply,
-                    // then close — the byte stream cannot be resynced.
-                    self.queue_response(&wire::error_to_response(&e));
-                    self.close_after_flush = true;
-                }
-            }
-        }
-    }
-
-    /// Queue every deferred response whose ticket has completed.
-    fn release_completions(&mut self, service: &impl Service) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let (ticket, id) = self.pending[i];
-            match service.poll_ticket(ticket) {
-                Some(body) => {
-                    self.queue_response(&wire::attach_id(id, &body));
-                    self.pending.swap_remove(i);
-                }
-                None => i += 1,
-            }
-        }
-    }
-
-    /// Push outbox bytes to the socket until done or it would block.
-    fn flush(&mut self, service: &impl Service) {
-        while self.sent < self.outbox.len() {
-            match self.stream.write(&self.outbox[self.sent..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.sent += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.outbox.clear();
-        self.sent = 0;
-        if self.shutdown_after_flush {
-            service.begin_shutdown();
-        }
-        if self.close_after_flush {
-            self.dead = true;
-        }
-    }
-
-    fn wants_write(&self) -> bool {
-        self.sent < self.outbox.len()
+    /// True once the signal is set.
+    pub(crate) fn is_set(&self) -> bool {
+        self.set.load(Ordering::SeqCst)
     }
 }
 
-/// Serve `service` on `listener` with a single-threaded readiness loop
-/// until the service reports shutdown.
-pub(crate) fn serve_readiness<S: Service>(
+/// Serve `service` on `listener` until its [`Stop`] is set.
+pub(crate) fn serve<S: Service>(service: &S, listener: TcpListener) -> Result<(), FleetError> {
+    serve_capped(service, listener, MAX_CONN_THREADS)
+}
+
+/// [`serve`] with at most `cap` connection threads.
+fn serve_capped<S: Service>(
     service: &S,
     listener: TcpListener,
+    cap: usize,
 ) -> Result<(), FleetError> {
-    listener.set_nonblocking(true)?;
-    let poller = Arc::new(Poller::new()?);
-    service.attach_waker(Waker(Arc::clone(&poller)));
-    poller.add(listener.as_raw_fd(), LISTENER_KEY, Interest::READABLE)?;
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_key = LISTENER_KEY + 1;
-    let mut events: Vec<Event> = Vec::new();
-    while !service.shutting_down() {
-        poller.wait(&mut events, Some(TICK))?;
-        for ev in &events {
-            if ev.key == LISTENER_KEY {
-                accept_ready(&listener, &poller, &mut conns, &mut next_key)?;
-                continue;
+    let stop = service.stop();
+    // Published before the first check, so a stop set at any moment
+    // either is seen by that check or connects to wake the accept.
+    *stop.wake.lock() = Some(wake_addr(listener.local_addr()?));
+    let conns = Conns { state: Mutex::new(ConnState::default()), ready: Condvar::new() };
+    let conns = &conns;
+    let accepted = std::thread::scope(|scope| {
+        let accepted = loop {
+            if stop.is_set() {
+                break Ok(());
             }
-            let Some(conn) = conns.get_mut(&ev.key) else { continue };
-            if ev.readable {
-                conn.fill();
-                conn.dispatch(service);
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            if stop.is_set() {
+                break Ok(());
             }
-            if ev.writable {
-                conn.flush(service);
+            // Small request/response frames: don't let Nagle batch.
+            let _ = stream.set_nodelay(true);
+            let mut st = conns.state.lock();
+            st.waiting.push_back(stream);
+            // Each idle thread takes one waiting connection; spawn only
+            // for a connection that no idle thread will take.
+            let slot = st.serving.len();
+            if st.waiting.len() > st.idle && slot < cap {
+                st.serving.push(None);
+                scope.spawn(move || conn_thread(service, conns, slot));
             }
+            drop(st);
+            conns.ready.notify_one();
+        };
+        *stop.wake.lock() = None;
+        let mut st = conns.state.lock();
+        st.closing = true;
+        st.waiting.clear();
+        for stream in st.serving.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        // Wake/tick work: deferred completions, opportunistic flushes,
-        // interest updates, and reaping.
-        for (&key, conn) in conns.iter_mut() {
-            if !conn.pending.is_empty() {
-                conn.release_completions(service);
-            }
-            if conn.wants_write() && !conn.dead {
-                conn.flush(service);
-            }
-            if conn.eof && !conn.wants_write() && conn.pending.is_empty() {
-                conn.dead = true;
-            }
-            if conn.dead {
-                let _ = poller.delete(conn.stream.as_raw_fd());
-                continue;
-            }
-            let want = Interest { readable: true, writable: conn.wants_write() };
-            if want != conn.interest {
-                poller.modify(conn.stream.as_raw_fd(), key, want)?;
-                conn.interest = want;
-            }
-        }
-        conns.retain(|_, c| !c.dead);
-    }
-    Ok(())
+        drop(st);
+        conns.ready.notify_all();
+        accepted
+    });
+    accepted.map_err(FleetError::from)
 }
 
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<usize, Conn>,
-    next_key: &mut usize,
-) -> Result<(), FleetError> {
+/// The address a stop connects to: the listener's own, with an
+/// unspecified IP replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Connections waiting for a thread, and the ones [`serve`] must shut
+/// down before it returns.
+struct Conns {
+    state: Mutex<ConnState>,
+    /// Signals a waiting connection, or closing, to idle threads.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    waiting: VecDeque<TcpStream>,
+    /// Threads parked for a connection.
+    idle: usize,
+    /// A handle to the connection each thread serves, by thread; one
+    /// slot per thread spawned.
+    serving: Vec<Option<TcpStream>>,
+    closing: bool,
+}
+
+/// One connection thread: serve waiting connections one after another
+/// until `serve` closes.
+fn conn_thread(service: &impl Service, conns: &Conns, slot: usize) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(true)?;
-                // Small request/response frames: don't let Nagle batch.
-                let _ = stream.set_nodelay(true);
-                let key = *next_key;
-                *next_key += 1;
-                poller.add(stream.as_raw_fd(), key, Interest::READABLE)?;
-                conns.insert(key, Conn::new(stream));
+        let stream = {
+            let mut st = conns.state.lock();
+            st.idle += 1;
+            let stream = loop {
+                if st.closing {
+                    return;
+                }
+                if let Some(stream) = st.waiting.pop_front() {
+                    break stream;
+                }
+                conns.ready.wait(&mut st);
+            };
+            st.idle -= 1;
+            // Without a handle `serve` could not shut the connection
+            // down, so one that cannot be cloned is dropped unanswered.
+            let Ok(handle) = stream.try_clone() else { continue };
+            st.serving[slot] = Some(handle);
+            stream
+        };
+        serve_conn(service, &stream);
+        conns.state.lock().serving[slot] = None;
+    }
+}
+
+/// Answer `stream`'s frames in order until it closes, breaks the
+/// framing, or carries a `shutdown`.
+fn serve_conn(service: &impl Service, stream: &TcpStream) {
+    // Buffered, a small frame costs one read instead of two (prefix,
+    // then payload).
+    let mut reader = BufReader::new(stream);
+    loop {
+        let frame = match wire::read_frame(&mut reader) {
+            Ok(Some(frame)) => frame,
+            // Unframeable stream (oversize prefix, not UTF-8): reply,
+            // then close — the byte stream cannot be resynced.
+            Err(e @ FleetError::Protocol(_)) => {
+                send(stream, &wire::error_to_response(&e));
+                return;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+            Ok(None) | Err(_) => return,
+        };
+        let (reply, stopping) = match wire::decode_envelope(&frame) {
+            Ok((id, Ok(req))) => {
+                let stopping = req == Request::Shutdown;
+                (wire::attach_id(id, &service.respond(req)), stopping)
+            }
+            // A malformed op in a well-formed envelope gets a tagged
+            // error response; the connection survives.
+            Ok((id, Err(e))) => (wire::attach_id(id, &wire::error_to_response(&e)), false),
+            // Unroutable frame (bad JSON, version mismatch, no id): no
+            // id to tag, so answer untagged; the connection survives —
+            // the stream itself is still framed correctly.
+            Err(e) => (wire::error_to_response(&e), false),
+        };
+        let open = send(stream, &reply);
+        if stopping {
+            service.shut_down();
         }
+        if !open || stopping {
+            return;
+        }
+    }
+}
+
+/// Write one response frame; false once the connection must close.
+fn send(mut stream: &TcpStream, json: &str) -> bool {
+    match wire::write_frame(&mut stream, json) {
+        Ok(()) => true,
+        // Too large to frame: report that instead of wedging the
+        // client, then close.
+        Err(e @ FleetError::Protocol(_)) => {
+            let _ = wire::write_frame(&mut stream, &wire::error_to_response(&e));
+            false
+        }
+        Err(_) => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use crate::daemon::{Fleet, FleetConfig};
+    use crate::registry::Registry;
+
+    /// How long the test waits on a reply or on `serve` before it
+    /// fails instead of hanging.
+    const DEADLINE: Duration = Duration::from_secs(30);
+
+    fn ping(stream: &mut TcpStream, id: u64) {
+        wire::write_frame(stream, &wire::encode_envelope(id, &Request::Ping).unwrap()).unwrap();
+    }
+
+    fn pong(stream: &mut TcpStream) -> Result<Option<String>, FleetError> {
+        wire::read_frame(stream)
+    }
+
+    fn connect_and_ping(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(DEADLINE)).unwrap();
+        ping(&mut stream, 0);
+        assert!(pong(&mut stream).unwrap().unwrap().contains("pong"));
+        stream
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_waits_for_a_free_thread() {
+        let wal =
+            std::env::temp_dir().join(format!("hpceval-server-cap-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&wal);
+        let fleet = Fleet::open(FleetConfig::default(), Registry::with_presets(), &wal).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, served) = mpsc::channel();
+        let serving = std::sync::Arc::clone(&fleet);
+        std::thread::spawn(move || {
+            let _ = tx.send(serve_capped(&*serving, listener, 2));
+        });
+
+        let first = connect_and_ping(addr);
+        let _second = connect_and_ping(addr);
+        let mut third = TcpStream::connect(addr).unwrap();
+        ping(&mut third, 0);
+        // Both threads are held by open connections, so the third gets
+        // no answer. Only a wait can show that; no event marks it.
+        third.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let early = pong(&mut third);
+        assert!(
+            matches!(&early, Err(FleetError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+            "answered past the cap: {early:?}"
+        );
+        drop(first);
+        third.set_read_timeout(Some(DEADLINE)).unwrap();
+        let answer = pong(&mut third).unwrap().expect("answered once a thread is free");
+        assert!(answer.contains("pong"), "{answer}");
+
+        fleet.request_shutdown();
+        served.recv_timeout(DEADLINE).expect("serve returns").unwrap();
+        std::fs::remove_file(wal).unwrap();
     }
 }

@@ -3,8 +3,8 @@
 //! fan-out router.
 //!
 //! The driver is the bridge between `hpceval-tune` (which plans cells
-//! and analyzes results but knows nothing about fleets) and the PR-7
-//! front-end (sharded readiness-loop daemons + router). Shape:
+//! and analyzes results but knows nothing about fleets) and the fleet
+//! front-end (sharded daemons + router). Shape:
 //!
 //! 1. stand up N shard daemons (each with its own WAL) and a router;
 //! 2. submit the planned cells through the router in one batch per

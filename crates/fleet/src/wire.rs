@@ -10,8 +10,9 @@
 //! Every request frame is an *envelope*: the op fields plus a protocol
 //! version `"v"` and a caller-assigned `u64` request id `"id"`. The id
 //! tags the response, so many requests can ride one socket
-//! concurrently and replies may come back in whatever order the server
-//! completes them — the client's in-flight table reassembles them.
+//! concurrently and a reply is matched to its request by id, not by
+//! arrival order (the pool's in-flight table does the matching; this
+//! crate's endpoints answer each connection's frames in order).
 //! Endpoints reject frames that carry a different version (or none,
 //! i.e. a pre-multiplexing v1 client) with a clear error instead of
 //! answering out of a mixed-version conversation.
@@ -57,10 +58,9 @@ pub fn write_frame(w: &mut impl Write, json: &str) -> Result<(), FleetError> {
     Ok(())
 }
 
-/// Encode one frame into a byte vector (prefix + payload) without
-/// touching a socket — the readiness loop's write state machine needs
-/// the bytes up front so it can flush them across partial writes. The
-/// one place the [`MAX_FRAME`] cap is checked on the way out.
+/// Encode one frame into a byte vector: the length prefix and the
+/// payload, so [`write_frame`] sends a frame in one write. The one
+/// place the [`MAX_FRAME`] cap is checked on the way out.
 pub fn encode_frame(json: &str) -> Result<Vec<u8>, FleetError> {
     if json.len() > MAX_FRAME {
         return Err(FleetError::Protocol(format!("frame of {} bytes exceeds cap", json.len())));
@@ -71,70 +71,15 @@ pub fn encode_frame(json: &str) -> Result<Vec<u8>, FleetError> {
     Ok(out)
 }
 
-/// Incremental frame decoder for non-blocking reads.
+/// Read one frame; `Ok(None)` when the stream ends before a complete
+/// length prefix (at a frame boundary, or inside a torn prefix), an
+/// error when it ends inside a payload.
 ///
-/// Bytes arrive in whatever slices the kernel hands back — possibly a
-/// single byte, possibly three frames and half a length prefix — and
-/// [`extend`](FrameDecoder::extend) just buffers them.
-/// [`next_frame`](FrameDecoder::next_frame) yields complete payloads in
-/// order. The length prefix is validated against [`MAX_FRAME`] as soon
-/// as its four bytes are present, *before* any payload is buffered, so
-/// a garbage prefix cannot make the daemon reserve gigabytes; a
-/// decoder error is sticky for the connection (the server replies and
-/// closes, mirroring the blocking `read_frame` discipline).
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
-    }
-
-    /// Buffer newly received bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: consumed prefix space is reused so a
-        // long-lived connection's buffer stays bounded by one frame
-        // plus one read chunk.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Decode the next complete frame, if one is fully buffered.
-    pub fn next_frame(&mut self) -> Result<Option<String>, FleetError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len_buf: [u8; 4] = self.buf[self.pos..self.pos + 4].try_into().expect("4-byte slice");
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_FRAME {
-            return Err(FleetError::Protocol(format!("frame length {len} exceeds cap")));
-        }
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let start = self.pos + 4;
-        let payload = std::str::from_utf8(&self.buf[start..start + len])
-            .map_err(|_| FleetError::Protocol("frame is not UTF-8".to_string()))?
-            .to_string();
-        self.pos = start + len;
-        Ok(Some(payload))
-    }
-}
-
-/// Read one frame; `Ok(None)` on a clean EOF at a frame boundary.
+/// Bytes may arrive in any slices — a single byte, or several frames
+/// and half a length prefix; `read_exact` reassembles them. The length
+/// prefix is checked against [`MAX_FRAME`] before any payload is
+/// allocated, so a garbage prefix cannot make the daemon reserve
+/// gigabytes.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FleetError> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -411,12 +356,15 @@ pub fn shutdown_response() -> String {
 
 /// The error body for `e`; a backlog keeps its retry hint, which is
 /// how [`decode_tagged_response`] turns it back into
-/// [`FleetError::Backlog`].
+/// [`FleetError::Backlog`]. A [`FleetError::Remote`] body is its
+/// message as received, so relaying a shard's error does not prefix
+/// it a second time.
 pub fn error_to_response(e: &FleetError) -> String {
     match e {
         FleetError::Backlog { retry_after_ms } => {
             error_response("queue full", Some(*retry_after_ms))
         }
+        FleetError::Remote(msg) => error_response(msg, None),
         other => error_response(&other.to_string(), None),
     }
 }
@@ -435,38 +383,6 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "{\"op\":\"ping\"}");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), "{\"op\":\"drain\"}");
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
-    }
-
-    #[test]
-    fn decoder_reassembles_frames_from_single_byte_slices() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, "{\"op\":\"ping\"}").unwrap();
-        write_frame(&mut stream, "{\"op\":\"ranking\"}").unwrap();
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        for b in stream {
-            dec.extend(&[b]);
-            while let Some(frame) = dec.next_frame().unwrap() {
-                out.push(frame);
-            }
-        }
-        assert_eq!(out, ["{\"op\":\"ping\"}", "{\"op\":\"ranking\"}"]);
-        assert_eq!(dec.pending(), 0);
-    }
-
-    #[test]
-    fn decoder_rejects_oversize_prefix_before_payload_arrives() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&u32::MAX.to_be_bytes());
-        assert!(matches!(dec.next_frame(), Err(FleetError::Protocol(_))));
-    }
-
-    #[test]
-    fn decoder_waits_on_torn_length_prefix() {
-        let mut dec = FrameDecoder::new();
-        dec.extend(&[0, 0]);
-        assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.pending(), 2);
     }
 
     #[test]

@@ -1,26 +1,27 @@
-//! Adversarial partial-I/O tests for the framed codec and the
-//! readiness-loop connection state machines.
+//! Adversarial partial-I/O tests for the framed codec and the live
+//! front-end.
 //!
-//! The readiness front-end sees the wire exactly as the kernel hands
-//! it over: frames torn at arbitrary byte boundaries, length prefixes
-//! split across reads, pipelined bursts arriving in one slice. These
-//! tests drive [`FrameDecoder`] through randomized tearings and the
-//! live server through a one-byte trickle, and pin the 1 MiB cap at
-//! both edges.
+//! A socket hands the wire over in whatever slices the kernel chooses:
+//! frames torn at arbitrary byte boundaries, length prefixes split
+//! across reads, pipelined bursts arriving in one slice. These tests
+//! drive [`read_frame`] through randomized tearings with a reader that
+//! returns torn slices, and the live server through a one-byte
+//! trickle, and pin the 1 MiB cap at both edges.
 
 use proptest::prelude::*;
 
-use std::io::Write;
+use std::io::{Cursor, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hpceval_fleet::wire::{
-    self, decode_envelope, encode_envelope, encode_frame, read_frame, write_frame, FrameDecoder,
-    Request, MAX_FRAME,
+    self, decode_envelope, encode_envelope, encode_frame, read_frame, write_frame, Request,
+    MAX_FRAME,
 };
 use hpceval_fleet::{
-    FaultPlan, Fleet, FleetClient, FleetConfig, JobKind, PoolConfig, Registry, ShardPool,
+    FaultPlan, Fleet, FleetClient, FleetConfig, FleetError, JobKind, PoolConfig, Registry,
+    ShardPool,
 };
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -41,11 +42,40 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ])
 }
 
+/// A reader that hands `bytes` back in slices of the sizes `cuts`
+/// cycles through, as a socket may, then reports end of stream.
+struct Torn<'a> {
+    bytes: &'a [u8],
+    cuts: &'a [usize],
+    reads: usize,
+}
+
+impl<'a> Torn<'a> {
+    fn new(bytes: &'a [u8], cuts: &'a [usize]) -> Torn<'a> {
+        Torn { bytes, cuts, reads: 0 }
+    }
+}
+
+impl Read for Torn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.cuts[self.reads % self.cuts.len()].min(self.bytes.len()).min(buf.len());
+        self.reads += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Every frame `r` yields up to a clean end of stream.
+fn read_all(r: &mut impl Read) -> Vec<String> {
+    std::iter::from_fn(|| read_frame(r).unwrap()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever the read-slice boundaries, the decoder reproduces the
-    /// exact request sequence with nothing left pending.
+    /// Whatever the read-slice boundaries, the reader reproduces the
+    /// exact request sequence and consumes the whole stream.
     #[test]
     fn frames_survive_arbitrary_tearing(
         reqs in prop::collection::vec(arb_request(), 1..12),
@@ -55,29 +85,22 @@ proptest! {
         for r in &reqs {
             stream.extend(encode_frame(&r.to_json().unwrap()).unwrap());
         }
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        let mut offset = 0;
-        let mut ci = 0;
-        while offset < stream.len() {
-            let n = cuts[ci % cuts.len()].min(stream.len() - offset);
-            ci += 1;
-            dec.extend(&stream[offset..offset + n]);
-            offset += n;
-            while let Some(frame) = dec.next_frame().unwrap() {
-                out.push(Request::from_json(&frame).unwrap());
-            }
-        }
+        let mut torn = Torn::new(&stream, &cuts);
+        let out: Vec<Request> =
+            read_all(&mut torn).iter().map(|f| Request::from_json(f).unwrap()).collect();
         prop_assert_eq!(out, reqs);
-        prop_assert_eq!(dec.pending(), 0);
+        prop_assert!(torn.bytes.is_empty());
     }
 
     /// A stream truncated mid-prefix or mid-payload yields exactly the
-    /// complete frames and parks the torn tail without error.
+    /// complete frames; the torn tail never comes back as a frame. It
+    /// reads as the end of the stream when the cut falls inside a
+    /// length prefix, and as an error when it falls inside a payload.
     #[test]
-    fn truncation_parks_the_torn_tail_without_error(
+    fn truncation_yields_the_complete_frames_and_no_torn_tail(
         reqs in prop::collection::vec(arb_request(), 1..6),
         dropped in 1usize..64,
+        cuts in prop::collection::vec(1usize..9, 1..64),
     ) {
         let mut frames = Vec::new();
         let mut stream = Vec::new();
@@ -87,34 +110,32 @@ proptest! {
             stream.extend(bytes);
         }
         let keep = stream.len().saturating_sub(dropped);
-        let mut dec = FrameDecoder::new();
-        dec.extend(&stream[..keep]);
-        let mut decoded = 0;
-        while let Some(frame) = dec.next_frame().unwrap() {
-            prop_assert_eq!(&Request::from_json(&frame).unwrap(), &reqs[decoded]);
-            decoded += 1;
-        }
         // Exactly the frames that fit completely inside the kept prefix.
         let expect = frames.iter().take_while(|&&(start, len)| start + len <= keep).count();
-        prop_assert_eq!(decoded, expect);
-        let consumed: usize = frames[..decoded].iter().map(|&(_, len)| len).sum();
-        prop_assert_eq!(dec.pending(), keep - consumed);
+        let mut torn = Torn::new(&stream[..keep], &cuts);
+        for want in &reqs[..expect] {
+            let frame = read_frame(&mut torn).unwrap().expect("a complete frame");
+            prop_assert_eq!(&Request::from_json(&frame).unwrap(), want);
+        }
+        let tail = frames.get(expect).map_or(0, |&(start, _)| keep - start);
+        match read_frame(&mut torn) {
+            Ok(None) => prop_assert!(tail < 4, "a torn payload must not read as end of stream"),
+            Err(_) => prop_assert!(tail >= 4, "a torn prefix reads as end of stream"),
+            Ok(Some(frame)) => prop_assert!(false, "the torn tail came back as {frame:?}"),
+        }
     }
 
-    /// A length prefix beyond the cap is rejected the moment its four
-    /// bytes are present — before any payload exists to allocate.
+    /// A length prefix beyond the cap is rejected as soon as its four
+    /// bytes are in, before any payload is read or allocated: the
+    /// stream below ends right after the prefix, so a reader that went
+    /// on to the payload would report end of stream instead.
     #[test]
     fn oversize_prefix_is_rejected_at_the_fourth_byte(
         len in (MAX_FRAME as u64 + 1)..=u64::from(u32::MAX),
     ) {
         let prefix = (len as u32).to_be_bytes();
-        let mut dec = FrameDecoder::new();
-        for &b in &prefix[..3] {
-            dec.extend(&[b]);
-            prop_assert!(dec.next_frame().unwrap().is_none(), "prefix still torn");
-        }
-        dec.extend(&prefix[3..]);
-        prop_assert!(dec.next_frame().is_err());
+        let got = read_frame(&mut Torn::new(&prefix, &[1]));
+        prop_assert!(matches!(got, Err(FleetError::Protocol(_))), "{got:?}");
     }
 
     /// Tagged v2 envelopes survive the same arbitrary read tearing as
@@ -132,40 +153,35 @@ proptest! {
         for (id, r) in &tagged {
             stream.extend(encode_frame(&encode_envelope(*id, r).unwrap()).unwrap());
         }
-        let mut dec = FrameDecoder::new();
-        let mut out = Vec::new();
-        let mut offset = 0;
-        let mut ci = 0;
-        while offset < stream.len() {
-            let n = cuts[ci % cuts.len()].min(stream.len() - offset);
-            ci += 1;
-            dec.extend(&stream[offset..offset + n]);
-            offset += n;
-            while let Some(frame) = dec.next_frame().unwrap() {
-                let (id, req) = decode_envelope(&frame).unwrap();
-                out.push((id, req.unwrap()));
-            }
-        }
+        let mut torn = Torn::new(&stream, &cuts);
+        let out: Vec<(u64, Request)> = read_all(&mut torn)
+            .iter()
+            .map(|frame| {
+                let (id, req) = decode_envelope(frame).unwrap();
+                (id, req.unwrap())
+            })
+            .collect();
         prop_assert_eq!(out, tagged);
-        prop_assert_eq!(dec.pending(), 0);
+        prop_assert!(torn.bytes.is_empty());
     }
 }
 
 #[test]
 fn the_cap_is_inclusive_below_and_exclusive_above() {
     let at_cap = "a".repeat(MAX_FRAME);
-    let mut dec = FrameDecoder::new();
-    dec.extend(&encode_frame(&at_cap).unwrap());
-    assert_eq!(dec.next_frame().unwrap().unwrap().len(), MAX_FRAME);
+    let frame = encode_frame(&at_cap).unwrap();
+    assert_eq!(read_frame(&mut Cursor::new(frame)).unwrap().unwrap().len(), MAX_FRAME);
 
     let over = "a".repeat(MAX_FRAME + 1);
     assert!(encode_frame(&over).is_err(), "writer side refuses");
-    let mut dec = FrameDecoder::new();
-    dec.extend(&((MAX_FRAME + 1) as u32).to_be_bytes());
-    assert!(dec.next_frame().is_err(), "reader side refuses at the prefix");
+    let prefix = ((MAX_FRAME + 1) as u32).to_be_bytes();
+    assert!(
+        matches!(read_frame(&mut Cursor::new(prefix)), Err(FleetError::Protocol(_))),
+        "reader side refuses at the prefix"
+    );
 }
 
-/// Drive the live readiness server the nastiest way a client can:
+/// Drive the live server the nastiest way a client can:
 /// three pipelined requests delivered one byte per write, then an
 /// oversize prefix on a second connection, which must draw an error
 /// response and a close without disturbing the daemon.
