@@ -58,6 +58,24 @@ MUTANTS = [
         "breaks": "the monitor reports one power spike per program edge",
     },
     {
+        "file": "crates/machine/src/cache.rs",
+        "old": "        ways.copy_within(..way, 1);\n"
+               "        ways[0] = if hit { old } else { key } | u64::from(write);\n",
+        "new": "        if hit {\n"
+               "            ways[way] = old | u64::from(write);\n"
+               "        } else {\n"
+               "            ways.copy_within(..way, 1);\n"
+               "            ways[0] = key | u64::from(write);\n"
+               "        }\n",
+        "breaks": "a hit moves its line to the front of the set (LRU, not FIFO)",
+    },
+    {
+        "file": "crates/machine/src/cache.rs",
+        "old": "(line % self.parts == self.part).then(",
+        "new": "(line % self.parts == self.part + 1).then(",
+        "breaks": "part r of a set-split hierarchy replays exactly the lines ≡ r (mod parts)",
+    },
+    {
         "file": "crates/kernels/src/simd.rs",
         "old": "6.0 * uc[i] - uxm[i] - uxp[i]",
         "new": "6.0 * uc[i] - uxp[i] - uxm[i]",
@@ -78,7 +96,12 @@ def suite(tree, release):
 
 
 def copy_tree(dest):
-    """Copy the files git would commit (tracked plus unignored) to `dest`."""
+    """Copy the files git would commit (tracked plus unignored) to `dest`.
+
+    Copies take fresh mtimes (`shutil.copy`, not `copy2`): when `dest`
+    holds builds from an earlier run, each restored file must look newer
+    than the mutant build made from it, or cargo reuses that build.
+    """
     listed = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=ROOT, check=True, capture_output=True).stdout.decode()
@@ -86,7 +109,7 @@ def copy_tree(dest):
         src = ROOT / name
         if src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / name)
+            shutil.copy(src, dest / name)
 
 
 def main():

@@ -6,8 +6,7 @@
 //! closes the loop instead: it *runs* the instrumented kernels at small
 //! scale under the trace recorder (every chunk recorded), replays the
 //! captured address streams through the server's simulated cache
-//! hierarchy, converts the replayed
-//! [`TraceCounters`](hpceval_trace::TraceCounters) into per-program
+//! hierarchy, converts the replayed [`TraceCounters`] into per-program
 //! locality profiles, and re-runs the full train/validate pipeline with
 //! those measured profiles substituted for the analytic ones. The end-to-end claim checked by
 //! the tests: the paper's R² ordering (train ≈ 0.94 ≫ NPB-B ≈ 0.63 ≳
@@ -32,9 +31,14 @@ use hpceval_kernels::hpl::{lu, HplConfig};
 use hpceval_kernels::npb::{bt, cg, ep, ft, is, lu as npb_lu, mg, sp, Class, Program};
 use hpceval_kernels::rng::NpbRng;
 use hpceval_kernels::suite::Benchmark;
+use hpceval_machine::cache::CacheHierarchy;
 use hpceval_machine::spec::ServerSpec;
 use hpceval_machine::workload::LocalityProfile;
-use hpceval_trace::{replay, CaptureConfig, CaptureGuard, Region, ReplayOptions, Trace};
+use hpceval_trace::{
+    replay_spec, replay_through, CaptureConfig, CaptureGuard, Region, ReplayOptions, Trace,
+    TraceCounters,
+};
+use rayon::prelude::*;
 
 use crate::regression_experiment::{
     collect_training_with, train, validate_with, RegressionExperiment,
@@ -334,9 +338,23 @@ pub fn measure_localities(spec: &ServerSpec, config: CaptureConfig) -> Option<Me
     Some(MeasuredLocalities { captures })
 }
 
+/// [`hpceval_trace::replay()`] on the pool: the hierarchy is split by set
+/// into as many parts as it allows up to the pool's width
+/// ([`CacheHierarchy::max_parts`]), and the parts replay the one trace
+/// side by side. The parts together hold one hierarchy's slots, and
+/// their counters sum to the serial replay's, bit for bit, at any width.
+pub fn replay_on_pool(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCounters {
+    let spec = replay_spec(spec, opts);
+    let parts = CacheHierarchy::max_parts(&spec, rayon::current_num_threads() as u64);
+    (0..parts)
+        .into_par_iter()
+        .map(|part| replay_through(trace, CacheHierarchy::part(&spec, part, parts)))
+        .reduce(TraceCounters::default, |a, b| a + b)
+}
+
 /// Replay one trace and fold the counters into a [`KernelCapture`].
 fn summarize(spec: &ServerSpec, region: Region, trace: &Trace) -> KernelCapture {
-    let counters = replay(trace, spec, replay_options(region));
+    let counters = replay_on_pool(trace, spec, replay_options(region));
     let (reads, writes) = trace.access_split();
     KernelCapture {
         kernel: region.name().to_string(),
@@ -413,6 +431,34 @@ mod tests {
             let a = capture_kernel(region, CaptureConfig::default()).unwrap();
             let b = capture_kernel(region, CaptureConfig::default()).unwrap();
             assert_eq!(a.bytes(), b.bytes(), "{} trace not reproducible", region.name());
+        }
+    }
+
+    #[test]
+    fn pool_replay_equals_serial_replay_at_every_width() {
+        // The parts' counters sum to the serial replay's bit for bit,
+        // however many parts the pool's width allows. Every preset
+        // splits in two at every region's scale, so widths 2 and 4
+        // really run parts side by side (unless HPCEVAL_THREADS pins
+        // the width).
+        let traces: Vec<Trace> = Region::ALL
+            .into_iter()
+            .map(|region| capture_kernel(region, CaptureConfig::default()).expect("capture runs"))
+            .collect();
+        let pools =
+            [1, 2, 4].map(|n| rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap());
+        for spec in presets::all_servers() {
+            for (region, trace) in Region::ALL.into_iter().zip(&traces) {
+                let opts = replay_options(region);
+                let parts = CacheHierarchy::max_parts(&replay_spec(&spec, opts), 2);
+                assert_eq!(parts, 2, "{} {}", spec.name, region.name());
+                let serial = hpceval_trace::replay(trace, &spec, opts);
+                for pool in &pools {
+                    let width = pool.current_num_threads();
+                    let pooled = pool.install(|| replay_on_pool(trace, &spec, opts));
+                    assert_eq!(pooled, serial, "{} {} at width {width}", spec.name, region.name());
+                }
+            }
         }
     }
 

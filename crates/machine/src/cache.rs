@@ -8,7 +8,7 @@
 //! which tests check against replays of the captured kernel traces).
 //!
 //! The model is one write-allocate, write-back, set-associative LRU cache
-//! per level, with per-set replacement stamps (the classic core of the
+//! per level, each set kept in recency order (the replacement of the
 //! exemplar cache-lab simulator, see SNIPPETS.md). Dirty-line accounting
 //! makes DRAM reads (line fills) and DRAM writes (dirty write-backs)
 //! separately countable, which is exactly the split the paper's X5/X6
@@ -41,39 +41,28 @@ pub struct Access {
     pub writeback: Option<u64>,
 }
 
-/// One cached line slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Replacement stamp, refreshed on every touch. Victim selection
-    /// evicts the minimum stamp.
-    stamp: u64,
-}
-
-/// What a missed lookup learned about its set: the first invalid way,
-/// and the first way holding the minimum stamp among the valid ones
-/// (the LRU victim once the set is full).
-#[derive(Debug, Clone, Copy)]
-struct SetScan {
-    invalid: Option<usize>,
-    oldest: usize,
-}
+/// Bit 63 of a slot word: the slot holds a line.
+const VALID: u64 = 1 << 63;
+/// Bit 0 of a slot word: the line is dirty.
+const DIRTY: u64 = 1;
 
 /// One set-associative LRU write-back cache.
 ///
-/// Lines live in fixed slots (per the exemplar simulator's per-set LRU
-/// timestamps): a hit refreshes the slot's stamp and a fill evicts the
-/// slot with the minimum stamp.
+/// Each slot is one word, `VALID | tag << 1 | dirty`, or 0 when empty.
+/// A set keeps its valid lines as a prefix in recency order, most
+/// recently used first: a hit moves its line to the front, a miss fills
+/// the first empty way or evicts the last one once the set is full, and
+/// every scan stops at the first empty way. That is exactly LRU by
+/// per-touch stamps (the exemplar cache-lab simulator, see SNIPPETS.md):
+/// the minimum stamp is always the last line in recency order, and
+/// which way a line sits in changes no counter and no write-back.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     line_shift: u32,
     sets: u64,
     ways: usize,
-    clock: u64,
-    /// `sets × ways` fixed slot store.
-    slots: Vec<Slot>,
+    /// `sets × ways` slot words.
+    slots: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -87,18 +76,24 @@ impl CacheSim {
     ///
     /// # Panics
     /// Panics if the geometry is degenerate (zero ways, zero sets, or a
-    /// non-power-of-two line size).
+    /// non-power-of-two line size) or its lines are under 4 bytes.
     pub fn new(level: &CacheLevel) -> Self {
-        let sets = level.sets();
+        Self::with_sets(level, level.sets())
+    }
+
+    /// `level`'s ways and line size over `sets` sets.
+    fn with_sets(level: &CacheLevel, sets: u32) -> Self {
         assert!(level.ways > 0, "cache must have at least one way");
         assert!(sets > 0, "cache must have at least one set");
         assert!(level.line_bytes.is_power_of_two(), "line size must be a power of two");
+        // A slot word keeps the tag in bits 1..63; a line index of a
+        // 64-bit address over lines of 4 bytes or more fits in 62 bits.
+        assert!(level.line_bytes >= 4, "a line of at least 4 bytes keeps a tag inside 62 bits");
         Self {
             line_shift: level.line_bytes.trailing_zeros(),
             sets: u64::from(sets),
             ways: level.ways as usize,
-            clock: 0,
-            slots: vec![Slot::default(); sets as usize * level.ways as usize],
+            slots: vec![0; sets as usize * level.ways as usize],
             hits: 0,
             misses: 0,
         }
@@ -119,66 +114,39 @@ impl CacheSim {
     /// `count` (≥ 1) consecutive accesses to `addr`'s line, with the
     /// same end state as `count` calls of [`Self::touch`] on addresses
     /// of that line. The first access takes the full path and leaves the
-    /// line resident in its set, so the other `count − 1` are hits on
-    /// that slot and are credited at once: hits and the clock advance by
-    /// `count − 1`, the stamp takes the final clock and `write` dirties
-    /// the line. Returns the first access's outcome; the repeats write
-    /// nothing back.
+    /// line at the front of its set, where the other `count − 1` hit it
+    /// without moving anything: they are credited at once, and `write`
+    /// dirties the line. Returns the first access's outcome; the repeats
+    /// write nothing back.
     pub fn touch_run(&mut self, addr: u64, write: bool, count: u64) -> Access {
         assert!(count > 0, "a run has at least one access");
         let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let base = set * self.ways;
-
-        let (way, access, repeats) = match self.scan(base, tag) {
-            Ok(way) => (way, Access { hit: true, writeback: None }, count),
-            Err(scan) => {
-                self.clock += 1;
-                let (way, access) = self.fill(set, tag, write, scan);
-                (way, access, count - 1)
-            }
-        };
-        if repeats > 0 {
-            self.clock += repeats;
-            let slot = &mut self.slots[base + way];
-            slot.stamp = self.clock;
-            slot.dirty |= write;
-            self.hits += repeats;
+        let set = line % self.sets;
+        let key = VALID | (line / self.sets) << 1;
+        let base = set as usize * self.ways;
+        let ways = &mut self.slots[base..base + self.ways];
+        // The line's way, else the first empty one, else the last (LRU).
+        let way = ways.iter().position(|&w| w & !DIRTY == key || w == 0).unwrap_or(self.ways - 1);
+        let old = ways[way];
+        let hit = old & !DIRTY == key;
+        // The touched line goes to the front; a fill into a full set
+        // shifts the last line out.
+        ways.copy_within(..way, 1);
+        ways[0] = if hit { old } else { key } | u64::from(write);
+        if hit {
+            self.hits += count;
+            return Access { hit: true, writeback: None };
         }
-        access
-    }
-
-    /// Look `tag` up in the set starting at slot `base`: its way on a
-    /// hit, else what a fill needs to pick a victim. One pass either way.
-    #[inline]
-    fn scan(&self, base: usize, tag: u64) -> Result<usize, SetScan> {
-        let mut scan = SetScan { invalid: None, oldest: 0 };
-        let mut oldest_stamp = u64::MAX;
-        for (w, slot) in self.slots[base..base + self.ways].iter().enumerate() {
-            if !slot.valid {
-                scan.invalid = scan.invalid.or(Some(w));
-            } else if slot.tag == tag {
-                return Ok(w);
-            } else if slot.stamp < oldest_stamp {
-                oldest_stamp = slot.stamp;
-                scan.oldest = w;
-            }
-        }
-        Err(scan)
-    }
-
-    /// Serve a miss in `set` at the current clock: fill the line into
-    /// the first invalid way, else over the least-recently-used one.
-    /// Returns the filled way and the outcome.
-    fn fill(&mut self, set: usize, tag: u64, write: bool, scan: SetScan) -> (usize, Access) {
         self.misses += 1;
-        let way = scan.invalid.unwrap_or(scan.oldest);
-        let slot = &mut self.slots[set * self.ways + way];
-        let writeback = (slot.valid && slot.dirty)
-            .then(|| (slot.tag * self.sets + set as u64) << self.line_shift);
-        *slot = Slot { tag, valid: true, dirty: write, stamp: self.clock };
-        (way, Access { hit: false, writeback })
+        self.hits += count - 1;
+        let writeback = (old & DIRTY != 0).then(|| self.line_addr(old, set));
+        Access { hit: false, writeback }
+    }
+
+    /// Byte address of the line held in slot word `word` of `set`.
+    #[inline]
+    fn line_addr(&self, word: u64, set: u64) -> u64 {
+        (((word & !VALID) >> 1) * self.sets + set) << self.line_shift
     }
 
     /// Access a byte address as a read; returns `true` on hit.
@@ -192,12 +160,12 @@ impl CacheSim {
     /// a write-back from the level above.
     pub fn absorb_writeback(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let base = set * self.ways;
-        match self.slots[base..base + self.ways].iter_mut().find(|s| s.valid && s.tag == tag) {
-            Some(slot) => {
-                slot.dirty = true;
+        let key = VALID | (line / self.sets) << 1;
+        let base = (line % self.sets) as usize * self.ways;
+        let mut lines = self.slots[base..base + self.ways].iter_mut().take_while(|w| **w != 0);
+        match lines.find(|w| **w & !DIRTY == key) {
+            Some(word) => {
+                *word |= DIRTY;
                 true
             }
             None => false,
@@ -208,11 +176,13 @@ impl CacheSim {
     /// ascending order and clearing the dirty bits.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.valid && slot.dirty {
-                let set = (i / self.ways) as u64;
-                out.push((slot.tag * self.sets + set) << self.line_shift);
-                slot.dirty = false;
+        // Only dirty slots are written: a set never touched stays on
+        // pages the allocator has not yet backed.
+        for i in 0..self.slots.len() {
+            let word = self.slots[i];
+            if word & DIRTY != 0 {
+                out.push(self.line_addr(word, (i / self.ways) as u64));
+                self.slots[i] = word & !DIRTY;
             }
         }
         out.sort_unstable();
@@ -260,14 +230,38 @@ pub struct HierarchyCounters {
 
 /// A data-side cache hierarchy (L1d → L2 → optional L3) for one core's
 /// view of a server, counting per-level hits and memory traffic.
+///
+/// It can also be one of `parts` set-partitions of that hierarchy
+/// ([`Self::part`]). When every level has the same line size, line ℓ
+/// maps to set ℓ mod Sₖ at level k and a write-back keeps its line, so
+/// if `parts` divides every Sₖ the lines ≡ r (mod `parts`) only ever
+/// touch sets ≡ r (mod `parts`). Part r is then a hierarchy of Sₖ /
+/// `parts` sets per level fed line ℓ / `parts` ([`Self::part_addr`]),
+/// independent of the other parts, and the whole hierarchy's counters
+/// are the sums of the parts'.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: CacheSim,
     l2: CacheSim,
     l3: Option<CacheSim>,
+    part: u64,
+    parts: u64,
     mem_reads: u64,
     mem_writes: u64,
     total: u64,
+}
+
+/// Greatest common divisor (`gcd(0, b) = b`).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The cache levels of `spec`, innermost first.
+fn levels(spec: &ServerSpec) -> impl Iterator<Item = &CacheLevel> {
+    [Some(&spec.l1d), Some(&spec.l2), spec.l3.as_ref()].into_iter().flatten()
 }
 
 impl CacheHierarchy {
@@ -278,14 +272,55 @@ impl CacheHierarchy {
     /// available, matching how the paper's PMU counters behave for
     /// one-process runs.
     pub fn for_server(spec: &ServerSpec) -> Self {
+        Self::part(spec, 0, 1)
+    }
+
+    /// Part `part` of `spec`'s hierarchy split by set into `parts`:
+    /// every level keeps its ways and line size over Sₖ / `parts` sets,
+    /// and takes only the lines [`Self::part_addr`] routes to it.
+    ///
+    /// # Panics
+    /// Panics unless `part < parts` and [`Self::max_parts`]`(spec,
+    /// parts)` is `parts`, i.e. `parts` splits `spec` exactly.
+    pub fn part(spec: &ServerSpec, part: u64, parts: u64) -> Self {
+        assert!(part < parts, "part {part} of {parts}");
+        assert_eq!(Self::max_parts(spec, parts), parts, "{parts} parts do not split the sets");
+        let sim = |level: &CacheLevel| CacheSim::with_sets(level, level.sets() / parts as u32);
         Self {
-            l1: CacheSim::new(&spec.l1d),
-            l2: CacheSim::new(&spec.l2),
-            l3: spec.l3.as_ref().map(CacheSim::new),
+            l1: sim(&spec.l1d),
+            l2: sim(&spec.l2),
+            l3: spec.l3.as_ref().map(sim),
+            part,
+            parts,
             mem_reads: 0,
             mem_writes: 0,
             total: 0,
         }
+    }
+
+    /// The most parts, no more than `max_parts` (≥ 1), that
+    /// [`Self::part`] splits `spec`'s hierarchy into: the largest
+    /// divisor of every level's set count, or 1 when the levels' line
+    /// sizes differ.
+    pub fn max_parts(spec: &ServerSpec, max_parts: u64) -> u64 {
+        if levels(spec).any(|l| l.line_bytes != spec.l1d.line_bytes) {
+            return 1;
+        }
+        let sets = levels(spec).map(|l| u64::from(l.sets())).fold(0, gcd);
+        (1..=max_parts.min(sets)).rev().find(|p| sets % p == 0).unwrap_or(1)
+    }
+
+    /// `addr` as this part sees it: when the part holds `addr`'s line ℓ
+    /// (ℓ ≡ `part` mod `parts`), the byte address of line ℓ / `parts`,
+    /// else `None`. A whole hierarchy takes every address unchanged.
+    #[inline]
+    pub fn part_addr(&self, addr: u64) -> Option<u64> {
+        if self.parts == 1 {
+            return Some(addr);
+        }
+        let shift = self.l1.line_shift;
+        let line = addr >> shift;
+        (line % self.parts == self.part).then(|| (line / self.parts) << shift)
     }
 
     /// Route a dirty line falling out of `level` into the next level
@@ -538,6 +573,22 @@ mod tests {
         let (l2, l3, mem) = h.profile_stream(addrs);
         assert!(l2 >= 0.0 && l3 >= 0.0 && mem >= 0.0);
         assert!(l2 + l3 + mem <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn max_parts_is_the_largest_common_set_divisor() {
+        let spec = presets::xeon_4870(); // 64, 512 and 20480 sets
+        let max = |spec: &ServerSpec, n| CacheHierarchy::max_parts(spec, n);
+        assert_eq!([1, 2, 3, 64, 100].map(|n| max(&spec, n)), [1, 2, 2, 64, 64]);
+        // 20 and 40 sets: the parts need not be a power of two.
+        let mut tens = spec.clone();
+        (tens.l1d, tens.l2, tens.l3) =
+            (CacheLevel::private(5, 4, 64), CacheLevel::private(10, 4, 64), None);
+        assert_eq!([2, 3, 4, 5, 7, 20, 40].map(|n| max(&tens, n)), [2, 2, 4, 5, 5, 20, 20]);
+        // Levels with different line sizes do not split.
+        let mut mixed = spec;
+        mixed.l2.line_bytes = 128;
+        assert_eq!(max(&mixed, 4), 1);
     }
 
     #[test]

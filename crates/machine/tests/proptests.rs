@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use hpceval_machine::cache::{CacheHierarchy, CacheSim};
+use hpceval_machine::cache::{Access, CacheHierarchy, CacheSim, HierarchyCounters};
 use hpceval_machine::presets;
 use hpceval_machine::roofline::PerfModel;
-use hpceval_machine::spec::CacheLevel;
+use hpceval_machine::spec::{CacheLevel, ServerSpec};
 use hpceval_machine::topology::{Placement, PlacementPlan};
 use hpceval_machine::workload::{ComputeKind, LocalityProfile, WorkloadSignature};
 
@@ -128,8 +128,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `touch_run(addr, write, k)` leaves a cache in exactly the state
-    /// of `k` single touches on addresses of `addr`'s line — slots,
-    /// stamps, clock and statistics.
+    /// of `k` single touches on addresses of `addr`'s line — every slot
+    /// word, so each set's recency order too, and the statistics.
     #[test]
     fn touch_run_equals_repeated_touches(
         (size_kib, ways) in prop::sample::select(vec![(1u32, 1u32), (1, 2), (1, 4), (2, 8), (4, 16)]),
@@ -150,5 +150,173 @@ proptest! {
             prop_assert_eq!(first, want);
         }
         prop_assert_eq!(format!("{batched:?}"), format!("{single:?}"));
+    }
+}
+
+/// The reference LRU: fixed slots with a stamp each, a clock that ticks
+/// on every access, fills into the first invalid way, else over the
+/// minimum stamp. `CacheSim` keeps recency order instead of stamps and
+/// must agree with this model on every access.
+struct StampLru {
+    line_shift: u32,
+    sets: u64,
+    ways: usize,
+    clock: u64,
+    /// `(tag, dirty, stamp)` per slot, `None` when invalid.
+    slots: Vec<Option<(u64, bool, u64)>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl StampLru {
+    fn new(level: &CacheLevel) -> Self {
+        let (sets, ways) = (u64::from(level.sets()), level.ways as usize);
+        Self {
+            line_shift: level.line_bytes.trailing_zeros(),
+            sets,
+            ways,
+            clock: 0,
+            slots: vec![None; sets as usize * ways],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn locate(&self, addr: u64) -> (u64, u64) {
+        let line = addr >> self.line_shift;
+        (line % self.sets, line / self.sets)
+    }
+
+    fn touch(&mut self, addr: u64, write: bool) -> Access {
+        self.clock += 1;
+        let (set, tag) = self.locate(addr);
+        let ways = &mut self.slots[set as usize * self.ways..][..self.ways];
+        if let Some(slot) = ways.iter_mut().flatten().find(|s| s.0 == tag) {
+            slot.1 |= write;
+            slot.2 = self.clock;
+            self.hits += 1;
+            return Access { hit: true, writeback: None };
+        }
+        self.misses += 1;
+        let way = ways
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or_else(|| (0..self.ways).min_by_key(|&w| ways[w].map_or(0, |s| s.2)).unwrap());
+        let writeback =
+            ways[way].filter(|s| s.1).map(|s| (s.0 * self.sets + set) << self.line_shift);
+        ways[way] = Some((tag, write, self.clock));
+        Access { hit: false, writeback }
+    }
+
+    fn absorb_writeback(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        let ways = &mut self.slots[set as usize * self.ways..][..self.ways];
+        ways.iter_mut().flatten().find(|s| s.0 == tag).map(|s| s.1 = true).is_some()
+    }
+
+    fn drain_dirty(&mut self) -> Vec<u64> {
+        let mut out = Vec::new();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(s) = slot.as_mut().filter(|s| s.1) {
+                out.push((s.0 * self.sets + (i / self.ways) as u64) << self.line_shift);
+                s.1 = false;
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// Geometries of 1–32 ways over 32–128 B lines, from one set up.
+fn arb_lru_level() -> impl Strategy<Value = CacheLevel> {
+    (1u32..=16, 1u32..=32, prop::sample::select(vec![32u32, 64, 128]))
+        .prop_map(|(size_kib, ways, line)| CacheLevel::private(size_kib, ways, line))
+        .prop_filter("geometry must have at least one set", |c| c.sets() >= 1)
+}
+
+/// `(line, byte in line, op, run length)`: op 0 reads, 1 writes, 2
+/// absorbs a write-back. 256 lines against caches of 8–4096 lines.
+fn arb_lru_ops() -> impl Strategy<Value = Vec<(u64, u64, u8, u64)>> {
+    prop::collection::vec((0u64..256, 0u64..128, 0u8..3, 1u64..6), 1..400)
+}
+
+/// Counters as integers that add: the six fields of a snapshot.
+fn fields(c: HierarchyCounters) -> [u64; 6] {
+    [c.total, c.l1_hits, c.l2_hits, c.l3_hits, c.mem_reads, c.mem_writes]
+}
+
+/// A server whose levels all have 64 B lines and `16·kₗ` sets, so 1, 2
+/// and 4 parts split every level; `kₗ·ways` KiB per level.
+fn arb_split_spec() -> impl Strategy<Value = ServerSpec> {
+    let level = |(k, ways): (u32, u32)| CacheLevel::private(k * ways, ways, 64);
+    let shape = || (1u32..=4, 1u32..=8);
+    (shape(), shape(), shape(), 0u8..2).prop_map(move |(l1d, l2, l3, has_l3)| ServerSpec {
+        l1d: level(l1d),
+        l2: level(l2),
+        l3: (has_l3 == 1).then(|| level(l3)),
+        ..presets::xeon_4870()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The recency-ordered `CacheSim` agrees with the stamp LRU on every
+    /// access (hit and write-back address), absorb, hit and miss count
+    /// and final drain.
+    #[test]
+    fn recency_order_matches_the_stamp_lru(level in arb_lru_level(), ops in arb_lru_ops()) {
+        let (mut sim, mut model) = (CacheSim::new(&level), StampLru::new(&level));
+        let line = u64::from(level.line_bytes);
+        for &(l, byte, op, count) in &ops {
+            let addr = l * line + byte % line;
+            if op == 2 {
+                prop_assert_eq!(sim.absorb_writeback(addr), model.absorb_writeback(addr));
+                continue;
+            }
+            let write = op == 1;
+            let got = sim.touch_run(addr, write, count);
+            let want = model.touch(addr, write);
+            prop_assert!(got == want, "{level:?} at line {l}: {got:?} vs {want:?}");
+            for _ in 1..count {
+                prop_assert!(model.touch(addr, write).hit);
+            }
+            prop_assert_eq!((sim.hits(), sim.misses()), (model.hits, model.misses));
+        }
+        prop_assert_eq!(sim.drain_dirty(), model.drain_dirty());
+        prop_assert_eq!(sim.drain_dirty(), Vec::<u64>::new());
+    }
+
+    /// A hierarchy split by set into P ∈ {1, 2, 4} parts, each fed the
+    /// lines `part_addr` gives it, counts in sum exactly what the whole
+    /// hierarchy counts, write-backs and the final flush included.
+    #[test]
+    fn split_hierarchy_counters_sum_to_the_whole(
+        spec in arb_split_spec(),
+        ops in prop::collection::vec((0u64..1 << 16, 0u8..2, 1u64..4), 1..600),
+    ) {
+        let mut whole = CacheHierarchy::for_server(&spec);
+        for &(addr, write, count) in &ops {
+            whole.access_run(addr, write == 1, count);
+        }
+        whole.flush();
+        for parts in [1u64, 2, 4] {
+            prop_assert_eq!(CacheHierarchy::max_parts(&spec, parts), parts);
+            let mut sum = [0u64; 6];
+            for part in 0..parts {
+                let mut h = CacheHierarchy::part(&spec, part, parts);
+                for &(addr, write, count) in &ops {
+                    if let Some(addr) = h.part_addr(addr) {
+                        h.access_run(addr, write == 1, count);
+                    }
+                }
+                h.flush();
+                for (s, v) in sum.iter_mut().zip(fields(h.counters())) {
+                    *s += v;
+                }
+            }
+            let want = fields(whole.counters());
+            prop_assert!(sum == want, "{parts} parts: {sum:?} vs {want:?}");
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! * [`event`] — block-descriptor events (base/stride/count over
 //!   *logical* addresses) and their varint/zigzag wire encoding,
 //! * [`replay`](mod@replay) — drives a trace through the `hpceval-machine` LRU
-//!   write-back hierarchy and bridges the resulting counters back into locality profiles.
+//!   write-back hierarchy, whole or one set-split part at a time, and
+//!   bridges the resulting counters back into locality profiles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +29,4 @@ pub use capture::{
     hooks, splitmix64, CaptureConfig, CaptureGuard, ChunkLog, Region, Trace, TraceMode,
 };
 pub use event::{AccessKind, TraceEvent};
-pub use replay::{replay, ReplayOptions, TraceCounters};
+pub use replay::{replay, replay_spec, replay_through, ReplayOptions, TraceCounters};

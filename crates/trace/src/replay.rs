@@ -55,6 +55,24 @@ pub struct TraceCounters {
     pub mem_writes: u64,
 }
 
+/// Field-wise sum: the counters of disjoint replays, such as the parts
+/// of a set-split hierarchy ([`replay_through`]), add up to those of
+/// the whole.
+impl std::ops::Add for TraceCounters {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            accesses: self.accesses + o.accesses,
+            l1_hits: self.l1_hits + o.l1_hits,
+            l2_hits: self.l2_hits + o.l2_hits,
+            l3_hits: self.l3_hits + o.l3_hits,
+            mem_reads: self.mem_reads + o.mem_reads,
+            mem_writes: self.mem_writes + o.mem_writes,
+        }
+    }
+}
+
 impl TraceCounters {
     /// Overall hit ratio (any cache level) over replayed accesses.
     pub fn hit_ratio(&self) -> f64 {
@@ -105,12 +123,10 @@ fn scaled_level(level: &CacheLevel, scale: f64) -> CacheLevel {
     CacheLevel { size_kib: size.max(1), ..*level }
 }
 
-/// Build the replay hierarchy for `spec` with `opts`.
-pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
-    if opts.cache_scale >= 1.0 {
-        CacheHierarchy::for_server(spec)
-    } else {
-        let mut scaled = spec.clone();
+/// `spec` with its caches as replay sees them under `opts`.
+pub fn replay_spec(spec: &ServerSpec, opts: ReplayOptions) -> ServerSpec {
+    let mut scaled = spec.clone();
+    if opts.cache_scale < 1.0 {
         scaled.l1d = scaled_level(&spec.l1d, opts.cache_scale);
         scaled.l2 = scaled_level(&spec.l2, opts.cache_scale);
         scaled.l3 = spec.l3.as_ref().map(|l| scaled_level(l, opts.cache_scale));
@@ -123,8 +139,8 @@ pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
         if let Some(l3) = scaled.l3.as_mut() {
             l3.size_kib = l3.size_kib.max(scaled.l2.size_kib * 2);
         }
-        CacheHierarchy::for_server(&scaled)
     }
+    scaled
 }
 
 /// Replay every burst of `trace` ([`Trace::events`]: chunks in ascending
@@ -139,12 +155,22 @@ pub fn hierarchy_for(spec: &ServerSpec, opts: ReplayOptions) -> CacheHierarchy {
 ///
 /// [`TraceEvent::line_runs`]: crate::event::TraceEvent::line_runs
 pub fn replay(trace: &Trace, spec: &ServerSpec, opts: ReplayOptions) -> TraceCounters {
-    let mut h = hierarchy_for(spec, opts);
+    replay_through(trace, CacheHierarchy::for_server(&replay_spec(spec, opts)))
+}
+
+/// [`replay`] through `h`, which may be one part of a hierarchy split
+/// by set ([`CacheHierarchy::part`]): only the lines that part holds
+/// ([`CacheHierarchy::part_addr`]) are replayed. The parts are
+/// independent, and their counters summed over all parts of
+/// [`replay_spec`]`(spec, opts)` are [`replay`]'s, bit for bit.
+pub fn replay_through(trace: &Trace, mut h: CacheHierarchy) -> TraceCounters {
     let line = h.l1_line_bytes();
     for e in trace.events() {
         let write = e.kind == AccessKind::Write;
         for (addr, run) in e.line_runs(line) {
-            h.access_run(addr, write, run);
+            if let Some(addr) = h.part_addr(addr) {
+                h.access_run(addr, write, run);
+            }
         }
     }
     h.flush();

@@ -55,12 +55,15 @@ pub fn plan_sweep(opts: &SweepOptions) -> Result<Vec<TuneCell>, String> {
     for server in &opts.servers {
         let nominal =
             presets::by_name(server).ok_or_else(|| format!("unknown server {server:?}"))?;
-        let states = state_indices(nominal.dvfs.len(), nominal.dvfs.nominal, opts.max_states);
         // One probe server per preset: feasibility only, never measured.
+        // Feasibility is DVFS-invariant, so each kernel's core levels are
+        // planned once and repeated for every state.
         let probe = SimulatedServer::new(nominal.clone());
         let total = nominal.total_cores();
-        for &state in &states {
-            for kernel in &opts.kernels {
+        let kernels = opts
+            .kernels
+            .iter()
+            .map(|kernel| {
                 let bench = benchmark_by_id(kernel, &nominal)
                     .ok_or_else(|| format!("unknown kernel {kernel:?}"))?;
                 let sig = bench.signature();
@@ -70,17 +73,19 @@ pub fn plan_sweep(opts: &SweepOptions) -> Result<Vec<TuneCell>, String> {
                     .collect();
                 levels.sort_unstable();
                 levels.dedup();
-                for p in levels {
-                    if probe.can_run(&sig, p) {
-                        cells.push(TuneCell {
-                            server: nominal.name.clone(),
-                            kernel: kernel.clone(),
-                            freq_state: state as u32,
-                            processes: p,
-                            seed: opts.seed,
-                        });
-                    }
-                }
+                levels.retain(|&p| probe.can_run(&sig, p));
+                Ok((kernel, levels))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        for state in state_indices(nominal.dvfs.len(), nominal.dvfs.nominal, opts.max_states) {
+            for (kernel, levels) in &kernels {
+                cells.extend(levels.iter().map(|&p| TuneCell {
+                    server: nominal.name.clone(),
+                    kernel: (*kernel).clone(),
+                    freq_state: state as u32,
+                    processes: p,
+                    seed: opts.seed,
+                }));
             }
         }
     }

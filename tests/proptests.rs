@@ -459,10 +459,11 @@ fn per_address_replay(
     spec: &hpceval::machine::spec::ServerSpec,
     opts: hpceval::trace::ReplayOptions,
 ) -> hpceval::trace::TraceCounters {
-    use hpceval::trace::replay::hierarchy_for;
+    use hpceval::machine::cache::CacheHierarchy;
+    use hpceval::trace::replay::replay_spec;
     use hpceval::trace::{AccessKind, TraceCounters};
 
-    let mut h = hierarchy_for(spec, opts);
+    let mut h = CacheHierarchy::for_server(&replay_spec(spec, opts));
     for e in trace.events() {
         for addr in e.addresses() {
             h.access_rw(addr, e.kind == AccessKind::Write);
